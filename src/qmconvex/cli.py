@@ -5,7 +5,8 @@ Output is JSON on stdout (human-readable only under --pretty) and fully
 deterministic for a given config and input, so scripts can diff it.
 
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance,
-4 I/O error.  MCONVEX_EPSILON overrides the default tolerance.
+4 I/O error, 5 internal inconsistency (a bug, reported on stderr).
+MCONVEX_EPSILON overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     EXIT_CODES,
     BudgetExceededError,
     InstanceFormatError,
+    InternalInconsistencyError,
     QuadraticInstance,
     parse_instance,
     serialize_instance,
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalInconsistencyError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

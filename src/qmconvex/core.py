@@ -68,6 +68,17 @@ def approx_eq(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
     return abs(x - y) <= tolerance(x, y, eps)
 
 
+def approx_eq_array(x, y, eps: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Elementwise approx_eq over broadcast arrays; +inf equals only +inf."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # |x - y| is +inf if one side is +inf or it overflows, NaN if both are
+        diff = np.abs(x - y)
+        close = diff <= eps * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    return (x == y) | (close & np.isfinite(diff))
+
+
 def approx_le(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
     if math.isinf(x) or math.isinf(y):
         return x <= y

@@ -2,10 +2,14 @@
 
 Type I instances are normalized (global minimum subtracted via per-index
 offsets) and accepted iff the reduced matrix satisfies the reversed
-ultrametric inequality a_ij >= min(a_ik, a_jk).  That property is checked
-in O(n^2) by decomposing the matrix into a laminar family of plateaus and
-rebuilding it: the rebuild matches the input exactly when the property
-holds.
+ultrametric inequality a_ij >= min(a_ik, a_jk).  That holds iff every
+entry equals the bottleneck between its endpoints in a maximum spanning
+tree (the subdominant ultrametric of Gower & Ross 1969, read with the
+order reversed; Hirai & Murota 2004 give the tree-metric view of
+M-convex quadratics), which one Prim pass over the rows checks in O(n^2)
+against the tree's edge weights without building any matrix.  The
+laminar plateau family (``decompose`` and ``reconstruct``) is kept as a
+certificate API; the decision does not use it.
 
 Type II and III instances reduce to additive rank-one structure on cross
 blocks, checked through adjacent 2x2 equalities that propagate to all
@@ -21,6 +25,7 @@ O(n^4) explain mode so the decision path stays quadratic.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -38,6 +43,7 @@ from .core import (
     QuadraticInstance,
     Verdict,
     Witness,
+    approx_eq_array,
     approx_gt,
 )
 from .structure import DOM_EMPTY, TYPE_I, TYPE_II, TYPE_III
@@ -154,12 +160,7 @@ def decompose(normalized: NormalizedMatrix, eps: float = DEFAULT_EPSILON) -> Lam
         rest = members[1:]
         row = reduced[pivot, rest]
         e = float(row.min())
-        if math.isinf(e):
-            mask = np.isinf(row)
-        else:
-            finite = np.isfinite(row)
-            scale = np.maximum(1.0, np.maximum(np.where(finite, np.abs(row), 0.0), abs(e)))
-            mask = finite & (np.abs(row - e) <= eps * scale)
+        mask = approx_eq_array(row, e, eps)
         argmin = rest[mask]
         complement = np.concatenate(([pivot], rest[~mask]))
         node = parent
@@ -233,22 +234,38 @@ def check_anti_ultrametric(
     normalized: NormalizedMatrix, eps: float = DEFAULT_EPSILON
 ) -> bool:
     """True iff reduced[i][j] >= min(reduced[i][k], reduced[j][k]) for all
-    distinct triples, decided by rebuild-and-compare in O(n^2)."""
-    family = decompose(normalized, eps)
-    rebuilt = reconstruct(family, normalized.n)
-    return _matrices_match(normalized.reduced, rebuilt, eps)
+    distinct triples, decided by one Prim pass in O(n^2).
 
-
-def _matrices_match(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
-    if not np.array_equal(np.isinf(a), np.isinf(b)):
-        return False
-    # |a - b| is NaN exactly at matched infinities and on the diagonal,
-    # both of which count as equal; NaN compares false, so test for "bad"
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(a - b)
-        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        bad = diff > eps * scale
-    return not bool(bad.any())
+    The inequality holds iff every entry equals the bottleneck (smallest
+    edge on the tree path) between its endpoints in a maximum spanning
+    tree (Gower & Ross 1969; Hirai & Murota 2004).  Prim grows that tree
+    from index 0 and lists every single-linkage cluster contiguously, so
+    the bottleneck between the indices at positions i < j of the visit
+    order is the smallest join weight w[i+1..j].  Each joining row is
+    compared against those join weights, which are exact tree edges, never
+    against entries that were themselves only accepted within eps; the
+    pass stops at the first row that differs.
+    """
+    reduced = normalized.reduced
+    n = normalized.n
+    order = np.zeros(n, dtype=np.intp)  # order[:k] is the tree so far
+    best = reduced[0].copy()  # heaviest edge from each index into the tree
+    best[0] = -math.inf
+    # bottleneck[i] = min(w[i+1..k]) from the visit-order position i to the
+    # newest tree index; entries not yet reached stay +inf
+    bottleneck = np.full(n, math.inf)
+    for k in range(1, n):
+        v = int(np.argmax(best))
+        np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
+        if not approx_eq_array(reduced[v, order[:k]], bottleneck[:k], eps).all():
+            return False
+        order[k] = v
+        row = reduced[v]
+        closer = row > best  # false at v itself, where the row holds NaN
+        closer[order[:k]] = False
+        best[closer] = row[closer]
+        best[v] = -math.inf
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +288,46 @@ def _adjacent_2x2_ok(block: np.ndarray, eps: float) -> bool:
     # block rows/cols are cross pairs, all finite under condition B
     if np.isinf(block).any():
         raise InternalInconsistencyError("infinite coefficient in a cross block")
-    if block.shape[0] < 2 or block.shape[1] < 2:
-        return True
     lhs = block[:-1, :-1] + block[1:, 1:]
     rhs = block[1:, :-1] + block[:-1, 1:]
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return bool((np.abs(lhs - rhs) <= eps * scale).all())
+    return bool(approx_eq_array(lhs, rhs, eps).all())
+
+
+def _cross_blocks(
+    n: int, decomposition: structure.ComponentDecomposition, type_label: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lazily yield the 0-based (rows, cols) index arrays of every cross
+    block in the type's quantifier range: for type II each big component
+    against its sorted complement, for type III each pair a < b of big
+    components."""
+    big = [np.asarray(c, dtype=np.intp) - 1 for c in decomposition.big]
+    if type_label == TYPE_II:
+        all_idx = np.arange(n, dtype=np.intp)
+        for rows in big:
+            yield rows, np.setdiff1d(all_idx, rows, assume_unique=True)
+    else:
+        for a, rows in enumerate(big):
+            for cols in big[a + 1:]:
+                yield rows, cols
+
+
+def _cross_verdict(
+    instance: QuadraticInstance,
+    decomposition: structure.ComponentDecomposition,
+    type_label: str,
+    eps: float,
+) -> Verdict:
+    # rows[:, None] indexes like np.ix_ at a fraction of its per-call cost
+    ok = all(
+        _adjacent_2x2_ok(instance.quad[rows[:, None], cols], eps)
+        for rows, cols in _cross_blocks(instance.n, decomposition, type_label)
+    )
+    return Verdict(
+        M_CONVEX if ok else NOT_M_CONVEX,
+        method=f"algorithm-{type_label}",
+        type_label=type_label,
+        epsilon=eps,
+    )
 
 
 def test_type2(
@@ -287,21 +338,7 @@ def test_type2(
     """Type II: for every big component, the block against everything else
     must satisfy all adjacent 2x2 additive equalities, which propagate to
     a_ij + a_kl = a_il + a_jk for all i,k inside and j,l outside."""
-    all_idx = np.arange(instance.n, dtype=np.intp)
-    ok = True
-    for comp in decomposition.big:
-        rows = np.asarray(comp, dtype=np.intp) - 1
-        cols = np.setdiff1d(all_idx, rows, assume_unique=True)
-        block = instance.quad[np.ix_(rows, cols)]
-        if not _adjacent_2x2_ok(block, eps):
-            ok = False
-            break
-    return Verdict(
-        M_CONVEX if ok else NOT_M_CONVEX,
-        method="algorithm-II",
-        type_label=TYPE_II,
-        epsilon=eps,
-    )
+    return _cross_verdict(instance, decomposition, TYPE_II, eps)
 
 
 def test_type3(
@@ -311,22 +348,7 @@ def test_type3(
 ) -> Verdict:
     """Type III: same 2x2 propagation on each block between two distinct
     big components."""
-    ok = True
-    big = [np.asarray(c, dtype=np.intp) - 1 for c in decomposition.big]
-    for a in range(len(big)):
-        for b in range(a + 1, len(big)):
-            block = instance.quad[np.ix_(big[a], big[b])]
-            if not _adjacent_2x2_ok(block, eps):
-                ok = False
-                break
-        if not ok:
-            break
-    return Verdict(
-        M_CONVEX if ok else NOT_M_CONVEX,
-        method="algorithm-III",
-        type_label=TYPE_III,
-        epsilon=eps,
-    )
+    return _cross_verdict(instance, decomposition, TYPE_III, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,47 +356,21 @@ def test_type3(
 
 
 def _slice_linear_verdict(instance: QuadraticInstance, eps: float) -> Verdict:
-    """r = 1 or r = n-1: the objective is linear on its slice, so only the
-    domain set matters; check its exchange property directly.
+    """r = 1 or r = n-1: m_convex iff the domain is non-empty.
 
-    The domain has at most n points.  For r = 1 every singleton is
-    feasible; for r = n-1 the complement of {i} is feasible iff every
-    infinite pair touches i.  In both cases a swap maps a feasible pair
-    (x, y) to (y, x), which the loop below verifies in O(n^2).
+    Any two feasible points x != y differ by one swap: x = S + e_a and
+    y = S + e_b for a common S (empty for r = 1, [n] minus {a, b} for
+    r = n-1).  The exchange for i = a must pick j = b, which maps (x, y)
+    to (y, x), so the exchange inequality reads f(x) + f(y) >= f(y) + f(x)
+    and always holds.  Every singleton is feasible for r = 1; for r = n-1
+    the complement of {i} is feasible iff i touches every infinite pair.
     """
-    n, r = instance.n, instance.r
-    if r == 1:
-        members = list(range(1, n + 1))
-    else:
-        # the complement of {i} is feasible iff i covers every infinite pair
-        inf_pairs = np.argwhere(np.isinf(np.triu(instance.quad, 1)))
-        if len(inf_pairs) == 0:
-            members = list(range(1, n + 1))
-        else:
-            cover = {int(inf_pairs[0][0]) + 1, int(inf_pairs[0][1]) + 1}
-            for a, b in inf_pairs[1:]:
-                cover &= {int(a) + 1, int(b) + 1}
-                if not cover:
-                    break
-            members = sorted(cover)
-    if not members:
-        return Verdict(INVALID_INSTANCE, method="slice-linear", epsilon=eps)
-    member_set = set(members)
-    ok = True
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            # dropping the index that distinguishes x from y and adding the
-            # other one lands exactly on (y, x)
-            if a not in member_set or b not in member_set:
-                ok = False
-                break
-        if not ok:
-            break
-    return Verdict(
-        M_CONVEX if ok else NOT_M_CONVEX, method="slice-linear", epsilon=eps
-    )
+    if instance.r > 1:
+        # i touches every infinite pair iff it lies on all of them
+        touches = np.isinf(instance.quad).sum(axis=1)
+        if not (touches == touches.sum() // 2).any():
+            return Verdict(INVALID_INSTANCE, method="slice-linear", epsilon=eps)
+    return Verdict(M_CONVEX, method="slice-linear", epsilon=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +443,9 @@ def _min_attained_once(sums: tuple[float, float, float], eps: float) -> bool:
     for s in sums:
         if math.isinf(s):
             continue
-        scale = max(1.0, abs(s), abs(smallest))
-        if abs(s - smallest) <= eps * scale:
+        # core.approx_eq written out: a call per sum slows the O(n^4) scan
+        # by about a quarter, so this one copy of the formula stays inline
+        if abs(s - smallest) <= eps * max(1.0, abs(s), abs(smallest)):
             hits += 1
     return hits == 1
 
@@ -481,35 +478,18 @@ def find_violation_quadruple(
             if _min_attained_once(sums(*combo), eps):
                 return tuple(v + 1 for v in combo)
         return None
-    if type_label == TYPE_II:
-        universe = set(range(instance.n))
-        for comp in decomposition.big:
-            inside = [v - 1 for v in comp]
-            outside = sorted(universe - set(inside))
-            for i in inside:
-                for j in outside:
-                    for k in inside:
-                        if k <= i:
+    if type_label not in (TYPE_II, TYPE_III):
+        raise ValueError(f"no quadruple condition for type {type_label!r}")
+    for rows, cols in _cross_blocks(instance.n, decomposition, type_label):
+        inside, outside = rows.tolist(), cols.tolist()
+        for i in inside:
+            for j in outside:
+                for k in inside:
+                    if k <= i:
+                        continue
+                    for l in outside:
+                        if l <= j:
                             continue
-                        for l in outside:
-                            if l <= j:
-                                continue
-                            if _min_attained_once(sums(i, j, k, l), eps):
-                                return (i + 1, j + 1, k + 1, l + 1)
-        return None
-    if type_label == TYPE_III:
-        big = [[v - 1 for v in comp] for comp in decomposition.big]
-        for a in range(len(big)):
-            for b in range(a + 1, len(big)):
-                for i in big[a]:
-                    for j in big[b]:
-                        for k in big[a]:
-                            if k <= i:
-                                continue
-                            for l in big[b]:
-                                if l <= j:
-                                    continue
-                                if _min_attained_once(sums(i, j, k, l), eps):
-                                    return (i + 1, j + 1, k + 1, l + 1)
-        return None
-    raise ValueError(f"no quadruple condition for type {type_label!r}")
+                        if _min_attained_once(sums(i, j, k, l), eps):
+                            return (i + 1, j + 1, k + 1, l + 1)
+    return None

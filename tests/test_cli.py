@@ -144,6 +144,18 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_internal_inconsistency_exit_code(capsys, golden_yes_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise q.InternalInconsistencyError("forced for the test")
+
+    monkeypatch.setattr(q.fast_tester, "test_mconvexity", broken)
+    code = main(["test", "--input", golden_yes_path])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "error: internal inconsistency: forced for the test\n"
+
+
 def test_config_validation(capsys, golden_yes_path):
     code, _ = run_cli(capsys, "test", "--input", golden_yes_path, "--epsilon", "-1")
     assert code == 3

@@ -1,6 +1,7 @@
 """Core model: value arithmetic, parsing, serialization, transforms."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmconvex as q
+from qmconvex.core import approx_eq_array
 from helpers import GOLDEN_YES_ENTRIES, all_zero, golden_yes, golden_no
 
 
@@ -34,6 +36,24 @@ def test_approx_comparisons_with_infinity():
     assert q.approx_eq(1.0, 1.0 + 1e-12)
     assert not q.approx_gt(1.0 + 1e-12, 1.0)
     assert q.approx_gt(1.0 + 1e-6, 1.0)
+
+
+def test_approx_eq_array_matches_scalar_form():
+    # boundary values around the relative slack, large magnitudes, +inf
+    base = [0.0, 1.0, -1.0, 1e6, -1e6, 1.5e308, -1.5e308, q.INF]
+    offsets = [0.0, 0.5e-9, 0.99e-9, 1.01e-9, 2e-9, 1e-3]
+    values = sorted({b + o * max(1.0, abs(b)) for b in base for o in offsets})
+    xs, ys = np.meshgrid(values, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow and inf - inf stay silent
+        got = approx_eq_array(xs, ys)
+    want = [
+        [q.approx_eq(x, y) for x, y in zip(rx, ry)]
+        for rx, ry in zip(xs.tolist(), ys.tolist())
+    ]
+    assert got.tolist() == want
+    assert not got[np.isinf(xs) != np.isinf(ys)].any()
+    assert approx_eq_array([1.0, q.INF], 1.0 + 1e-12).tolist() == [True, False]
 
 
 @given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))

@@ -211,11 +211,31 @@ def test_check_anti_ultrametric_matches_triple_scan():
             m, _ = random_laminar_matrix(n, rng)
         else:
             m = random_symmetric(n, rng, alphabet=(0, 1, 2) if trial % 2 else None)
-        got = q.check_anti_ultrametric(normalized_from(m))
+        nm = normalized_from(m)
+        got = q.check_anti_ultrametric(nm)
         assert got == anti_ultrametric_triples(m)
+        # the kept certificate agrees with the decision
+        assert got == np.array_equal(q.reconstruct(q.decompose(nm), n), m, equal_nan=True)
         accepted += got
         rejected += not got
     assert accepted > 30 and rejected > 30
+
+
+def test_check_anti_ultrametric_slack_does_not_add_up():
+    # a_0i = 1, and on the chain 1..k every entry sits 1.8e-9 (under eps)
+    # below its neighbour closer to the diagonal: each row is within eps of
+    # the previous one, but the triple (1, k, k/2) falls short by about
+    # (k/2) * 1.8e-9, so the check must compare against the tree's edge
+    # weights rather than against rows it accepted earlier
+    for k in (11, 12, 40):
+        n = k + 1
+        m = np.ones((n, n))
+        for i in range(1, n):
+            for j in range(i + 1, n):
+                m[i, j] = m[j, i] = 2 - (j - i - 1) * 1.8e-9
+        np.fill_diagonal(m, np.nan)
+        assert q.check_anti_ultrametric(normalized_from(m)) == anti_ultrametric_triples(m)
+        assert not anti_ultrametric_triples(m)
 
 
 def test_check_anti_ultrametric_golden_no_rejects():
@@ -330,6 +350,22 @@ def test_typed_deciders_match_reference_scans():
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_type1_relabel_invariance_at_scale():
+    # the Prim visit order and its argmax ties depend on the labels
+    rng = np.random.default_rng(43)
+    for n in (60, 200):
+        for seed in range(3):
+            yes = q.gen_tree_metric_type1(n, n // 4, seed)
+            i, j = sorted(int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+            no = q.perturb(yes, (i, j), 1.0)
+            for inst, want in ((yes, q.M_CONVEX), (no, q.NOT_M_CONVEX)):
+                assert q.test_mconvexity(inst).status == want
+                for _ in range(4):
+                    perm = [int(v) + 1 for v in rng.permutation(n)]
+                    verdict = q.test_mconvexity(q.relabel(inst, perm))
+                    assert verdict.status == want and verdict.method == "algorithm-I"
+
+
 # ---------------------------------------------------------------------------
 # Pipeline policy
 
@@ -361,6 +397,24 @@ def test_pipeline_slice_shortcuts():
 
     empty = q.QuadraticInstance.from_entries(4, 3, {(1, 2): q.INF, (3, 4): q.INF})
     assert q.test_mconvexity(empty).status == q.INVALID_INSTANCE
+
+
+def test_slice_shortcut_matches_oracle_exhaustively():
+    # every instance over {0, 1, +inf} with n <= 5 and r in {1, n-1}
+    compared = {q.M_CONVEX: 0, q.INVALID_INSTANCE: 0}
+    for n in range(2, 6):
+        upper = np.triu_indices(n, 1)
+        for values in itertools.product((0.0, 1.0, q.INF), repeat=len(upper[0])):
+            quad = np.full((n, n), np.nan)
+            quad[upper] = values
+            quad.T[upper] = values
+            for r in sorted({1, n - 1}):
+                inst = q.QuadraticInstance(n, r, np.zeros(n), quad)
+                verdict = q.test_mconvexity(inst)
+                assert verdict.method == "slice-linear"
+                assert verdict.status == q.exchange_axiom_holds(inst).status
+                compared[verdict.status] += 1
+    assert min(compared.values()) > 10_000
 
 
 def test_pipeline_condition_b_policies():
