@@ -5,7 +5,8 @@ Output is JSON on stdout (human-readable only under --pretty) and fully
 deterministic for a given config and input, so scripts can diff it.
 
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance,
-4 I/O error, 5 internal inconsistency (a bug, reported on stderr).
+4 I/O error or out of memory (an n too large for the n x n matrix),
+5 internal inconsistency (a bug, reported on stderr).
 MCONVEX_EPSILON overrides the default tolerance.
 """
 
@@ -69,10 +70,13 @@ def _default_epsilon() -> float:
 
 
 def _read_text(config: RunConfig) -> str:
-    if config.input_path is None or config.input_path == "-":
-        return sys.stdin.read()
-    with open(config.input_path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if config.input_path is None or config.input_path == "-":
+            return sys.stdin.read()
+        with open(config.input_path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"document is not UTF-8 text: {exc}") from None
 
 
 def _read_instance(config: RunConfig) -> QuadraticInstance:
@@ -321,6 +325,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     except InternalInconsistencyError as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)

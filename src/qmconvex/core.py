@@ -16,10 +16,11 @@ new object, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -112,6 +113,13 @@ def as_coefficient(value: float, *, allow_inf: bool = True) -> float:
 # Instance model
 
 
+def _check_size(n: int, r: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise InstanceFormatError("n must be an integer >= 2")
+    if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r <= n - 1:
+        raise InstanceFormatError(f"r must satisfy 1 <= r <= n-1, got r={r}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticInstance:
     """A quadratic objective restricted to the size-r slice of {0,1}^n.
@@ -129,10 +137,7 @@ class QuadraticInstance:
 
     def __post_init__(self) -> None:
         n, r = self.n, self.r
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            raise InstanceFormatError("n must be an integer >= 2")
-        if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r <= n - 1:
-            raise InstanceFormatError(f"r must satisfy 1 <= r <= n-1, got r={r}")
+        _check_size(n, r)
         linear = np.array(self.linear, dtype=float)
         quad = np.array(self.quad, dtype=float)
         if linear.shape != (n,):
@@ -147,7 +152,7 @@ class QuadraticInstance:
             raise InstanceFormatError("NaN is not a valid coefficient")
         if np.isneginf(quad).any():
             raise InstanceFormatError("-inf is not representable")
-        if not np.array_equal(quad, quad.T, equal_nan=True):
+        if not ((quad == quad.T) | np.isnan(quad)).all():  # NaN is exactly the diagonal
             raise InstanceFormatError("quadratic coefficients must be symmetric")
         linear.flags.writeable = False
         quad.flags.writeable = False
@@ -170,26 +175,9 @@ class QuadraticInstance:
         if isinstance(entries, Mapping):
             triples = [(i, j, v) for (i, j), v in entries.items()]
         else:
-            triples = [(i, j, v) for i, j, v in entries]
-        quad = np.zeros((n, n), dtype=float)
-        np.fill_diagonal(quad, np.nan)
-        seen: dict[tuple[int, int], float] = {}
-        for i, j, v in triples:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise InstanceFormatError(f"index out of range in pair ({i},{j})")
-            if i == j:
-                raise InstanceFormatError(f"diagonal pair ({i},{j}) is not allowed")
-            v = as_coefficient(v)
-            key = (min(i, j), max(i, j))
-            if key in seen and seen[key] != v:
-                raise InstanceFormatError(
-                    f"asymmetric entry for pair {key}: {seen[key]} vs {v}"
-                )
-            seen[key] = v
-            quad[i - 1, j - 1] = v
-            quad[j - 1, i - 1] = v
-        lin = np.zeros(n) if linear is None else np.asarray(linear, dtype=float)
-        return cls(n, r, lin, quad)
+            triples = list(entries)
+        rows, cols, values = zip(*triples) if triples else ((), (), ())
+        return _scatter(n, r, rows, cols, np.array(values, dtype=float), linear)
 
     def pair(self, i: int, j: int) -> float:
         """Coefficient of the pair {i, j}, 1-based."""
@@ -212,6 +200,81 @@ class QuadraticInstance:
         return f"QuadraticInstance(n={self.n}, r={self.r}, infinite_pairs={inf_count})"
 
 
+def _index_array(indices: Sequence[int], n: int, field: str) -> np.ndarray:
+    """1-based integer indices as an int64 array, with 0 in place of each
+    index outside 1..n."""
+    try:
+        try:
+            out = np.frombuffer(array.array("q", indices), dtype=np.int64)
+        except OverflowError:  # an integer beyond int64 is outside 1..n as well
+            clipped = [k if type(k) is not int or -n <= k <= n else 0 for k in indices]
+            out = np.frombuffer(array.array("q", clipped), dtype=np.int64)
+        # array("q") refuses every non-integer but bool, which reads as 0 or 1
+        if any(type(indices[k]) is bool for k in np.flatnonzero(out <= 1).tolist()):
+            raise TypeError
+    except TypeError:
+        raise InstanceFormatError(f"field {field!r} must be an integer") from None
+    out[(out < 1) | (out > n)] = 0
+    return out
+
+
+def _scatter(
+    n: int,
+    r: int,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    values: np.ndarray,
+    linear: Sequence[float] | None,
+) -> QuadraticInstance:
+    """Validate 1-based pair entries, given as parallel columns, and write
+    them into the coefficient matrix.
+
+    Each entry needs both indices in 1..n, distinct, and a value that is
+    neither NaN nor -inf; entries repeating a pair, in either orientation,
+    must agree.  The error names the first entry in input order at which
+    an entry-by-entry scan would stop.
+    """
+    _check_size(n, r)
+    try:
+        quad = np.zeros((n, n))
+    except ValueError:  # numpy refuses a shape beyond its size limit before allocating
+        raise MemoryError(f"an {n} x {n} coefficient matrix is too large") from None
+    i = _index_array(rows, n, "i")
+    j = _index_array(cols, n, "j")
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    bad = (lo == 0) | (lo == hi) | np.isnan(values) | np.isneginf(values)
+    # a stable sort keeps each pair's entries in input order, so a neighbour
+    # that differs is the first entry disagreeing with the pair's first value
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ordered = values[order]
+    clash = (key[1:] == key[:-1]) & (ordered[1:] != ordered[:-1])
+    clash_at = np.where(clash, order[1:], len(values))  # input position of each clash
+    faults = np.flatnonzero(bad)
+    k = int(faults[0]) if faults.size else len(values)
+    if clash.any() and clash_at.min() < k:
+        t = int(np.argmin(clash_at))
+        pair = (int(lo[order[t]]), int(hi[order[t]]))
+        raise InstanceFormatError(
+            f"asymmetric entry for pair {pair}: {float(ordered[t])} vs {float(ordered[t + 1])}"
+        )
+    if faults.size:
+        if lo[k] == 0:
+            raise InstanceFormatError(f"index out of range in pair ({rows[k]},{cols[k]})")
+        if lo[k] == hi[k]:
+            raise InstanceFormatError(f"diagonal pair ({rows[k]},{cols[k]}) is not allowed")
+        if np.isnan(values[k]):
+            raise InstanceFormatError("NaN is not a valid coefficient")
+        raise InstanceFormatError("-inf is not representable")
+    # each pair once above the diagonal, in memory order, then mirrored
+    quad.reshape(-1)[key - (n + 1)] = ordered
+    quad += quad.T
+    np.fill_diagonal(quad, np.nan)
+    return QuadraticInstance(n, r, np.zeros(n) if linear is None else linear, quad)
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON document format
 
@@ -227,16 +290,49 @@ def _require_int(doc: Mapping, key: str) -> int:
     return v
 
 
+def _overflows(x: int | float) -> bool:
+    try:
+        return math.isinf(x)
+    except OverflowError:  # an integer too large to convert
+        return True
+
+
+def _doubles(literals: list, strings: int, name: Callable[[int], str]) -> np.ndarray:
+    """JSON numbers and "inf" strings, ``strings`` of them, as a float array.
+
+    JSON reads a float literal beyond the range of a double as +-inf, and
+    such an integer literal cannot be converted: both are refused, so only
+    the string "inf" reads as +inf.  ``name(position)`` names a literal in
+    the error.
+    """
+    try:
+        out = np.fromiter(literals, dtype=float, count=len(literals))
+        inf_at = np.flatnonzero(np.isinf(out)).tolist()
+        if strings == len(inf_at) and all(literals[k] == "inf" for k in inf_at):
+            return out
+    except (OverflowError, ValueError):  # an integer beyond a double, a non-numeric string
+        pass
+    word = next((v for v in literals if type(v) is str and v != "inf"), None)
+    if word is not None:
+        raise InstanceFormatError(f"unknown coefficient string {word!r}")
+    k = next(k for k, x in enumerate(literals) if x != "inf" and _overflows(x))
+    raise InstanceFormatError(f"{name(k)} overflows a double")
+
+
 def parse_instance(text: str) -> QuadraticInstance:
     """Parse the canonical JSON document into a validated instance.
 
-    Format: {"n": int, "r": int, "linear": [n reals] (optional, zeros),
-    "quad": [{"i": int, "j": int, "v": real or "inf"}, ...]} with 1-based
-    i < j; omitted pairs are 0 and the string "inf" maps to +inf.
+    Format: {"n": int, "r": int, "linear": [n numbers] (optional, zeros),
+    "quad": [{"i": int, "j": int, "v": number or "inf"}, ...]} with 1-based
+    i != j in either order; a pair may repeat if its values agree, omitted
+    pairs are 0 and the string "inf" maps to +inf.  Number literals beyond
+    the range of a double are refused.
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except InstanceFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # too deep, or an integer of over 4300 digits
         raise InstanceFormatError(f"malformed JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("document must be a JSON object")
@@ -247,26 +343,37 @@ def parse_instance(text: str) -> QuadraticInstance:
     r = _require_int(doc, "r")
     linear = doc.get("linear")
     if linear is not None:
-        if not isinstance(linear, list) or len(linear) != n:
+        if (
+            not isinstance(linear, list)
+            or len(linear) != n
+            or not set(map(type, linear)) <= {int, float}
+        ):
             raise InstanceFormatError("field 'linear' must be a list of n reals")
-        linear = [as_coefficient(v, allow_inf=False) for v in linear]
-    triples = []
-    for entry in doc.get("quad", []):
-        if not isinstance(entry, dict) or set(entry) != {"i", "j", "v"}:
-            raise InstanceFormatError("quad entries must be objects with keys i, j, v")
-        i = _require_int(entry, "i")
-        j = _require_int(entry, "j")
-        v = entry["v"]
-        if isinstance(v, str):
-            if v != "inf":
-                raise InstanceFormatError(f"unknown coefficient string {v!r}")
-            v = INF
-        elif not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InstanceFormatError("coefficient must be a number or the string 'inf'")
-        triples.append((i, j, v))
-    if n < 2:
-        raise InstanceFormatError("n must be an integer >= 2")
-    return QuadraticInstance.from_entries(n, r, triples, linear=linear)
+        linear = _doubles(linear, 0, lambda k: f"linear coefficient {k + 1}")
+    entries = doc.get("quad", [])
+    if not isinstance(entries, list):
+        raise InstanceFormatError("field 'quad' must be a list of entries")
+    # Three keys, none of them missing, are exactly i, j and v.  A JSON value
+    # other than an object raises TypeError on len() or on a string key.
+    shape_error = InstanceFormatError("quad entries must be objects with keys i, j, v")
+    try:
+        rows = [e["i"] for e in entries if len(e) == 3]
+        cols = [e["j"] for e in entries]
+        literals = [e["v"] for e in entries]
+    except (KeyError, TypeError):
+        raise shape_error from None
+    if len(rows) != len(entries):
+        raise shape_error
+    types = list(map(type, literals))
+    kinds = set(types)
+    if not kinds <= {int, float, str}:
+        raise InstanceFormatError("coefficient must be a number or the string 'inf'")
+    values = _doubles(
+        literals,
+        types.count(str) if str in kinds else 0,
+        lambda k: f"coefficient of pair ({rows[k]},{cols[k]})",
+    )
+    return _scatter(n, r, rows, cols, values, linear)
 
 
 def serialize_instance(instance: QuadraticInstance) -> str:
@@ -274,21 +381,22 @@ def serialize_instance(instance: QuadraticInstance) -> str:
 
     Zero quadratic entries are omitted, entries are sorted by (i, j), and
     key order is fixed, so equal instances produce byte-identical output
-    and parse_instance(serialize_instance(I)) == I.
+    and parse_instance(serialize_instance(I)) == I.  The text is the
+    ``json.dumps`` rendering of the document: floats by ``repr``, ", " and
+    ": " separators.
     """
-    doc: dict = {"n": instance.n, "r": instance.r}
+    head = f'{{"n": {instance.n}, "r": {instance.r}, '
     if np.any(instance.linear != 0.0):
-        doc["linear"] = [float(v) for v in instance.linear]
-    entries = []
-    for i in range(instance.n):
-        for j in range(i + 1, instance.n):
-            v = instance.quad[i, j]
-            if v != 0.0:
-                entries.append(
-                    {"i": i + 1, "j": j + 1, "v": "inf" if math.isinf(v) else float(v)}
-                )
-    doc["quad"] = entries
-    return json.dumps(doc)
+        head += f'"linear": {json.dumps(instance.linear.tolist())}, '
+    rows, cols = np.triu_indices(instance.n, 1)
+    values = instance.quad[rows, cols]
+    keep = values != 0.0
+    rows, cols, values = (rows[keep] + 1).tolist(), (cols[keep] + 1).tolist(), values[keep]
+    texts = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(np.isinf(values)).tolist():
+        texts[k] = '"inf"'
+    body = ", ".join([f'{{"i": {i}, "j": {j}, "v": {t}}}' for i, j, t in zip(rows, cols, texts)])
+    return f'{head}"quad": [{body}]}}'
 
 
 # ---------------------------------------------------------------------------

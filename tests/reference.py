@@ -1,14 +1,24 @@
 """Independent reference implementations used only as test oracles.
 
-These scan the full quantifier ranges directly with numpy broadcasting and
-share no code with the quadratic-time deciders they check.
+The scans check the full quantifier ranges directly with numpy broadcasting
+and share no code with the quadratic-time deciders they check.  The
+document parser and serializer at the end are the entry-by-entry versions
+that the array passes in ``qmconvex.core`` replaced.
 """
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 
-from qmconvex import BudgetExceededError, QuadraticInstance, enumerate_domain
+from qmconvex import (
+    BudgetExceededError,
+    InstanceFormatError,
+    QuadraticInstance,
+    enumerate_domain,
+)
 
 
 def _violates_ge(lhs: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarray:
@@ -111,3 +121,96 @@ def condition_a_by_enumeration(inst: QuadraticInstance) -> bool | None:
     for support in domain.supports:
         touched.update(support)
     return bool(domain.supports) and len(touched) == inst.n
+
+
+def _coefficient(value, *, allow_inf: bool = True) -> float:
+    v = float(value)
+    if math.isnan(v):
+        raise InstanceFormatError("NaN is not a valid coefficient")
+    if v == -math.inf:
+        raise InstanceFormatError("-inf is not representable")
+    if not allow_inf and math.isinf(v):
+        raise InstanceFormatError("coefficient must be finite")
+    return v
+
+
+def _require_int(doc, key: str) -> int:
+    v = doc.get(key)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InstanceFormatError(f"field {key!r} must be an integer")
+    return v
+
+
+def _reject_constant(name: str) -> float:
+    raise InstanceFormatError(f"non-finite JSON literal {name!r} is not allowed")
+
+
+def parse_instance(text: str) -> QuadraticInstance:
+    """Entry-by-entry parser: one Python pass over ``quad`` that checks each
+    entry and remembers each pair's first value in a dict."""
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"malformed JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("document must be a JSON object")
+    unknown = set(doc) - {"n", "r", "linear", "quad"}
+    if unknown:
+        raise InstanceFormatError(f"unknown fields: {sorted(unknown)}")
+    n = _require_int(doc, "n")
+    r = _require_int(doc, "r")
+    linear = doc.get("linear")
+    if linear is not None:
+        if not isinstance(linear, list) or len(linear) != n:
+            raise InstanceFormatError("field 'linear' must be a list of n reals")
+        linear = [_coefficient(v, allow_inf=False) for v in linear]
+    triples = []
+    for entry in doc.get("quad", []):
+        if not isinstance(entry, dict) or set(entry) != {"i", "j", "v"}:
+            raise InstanceFormatError("quad entries must be objects with keys i, j, v")
+        i = _require_int(entry, "i")
+        j = _require_int(entry, "j")
+        v = entry["v"]
+        if isinstance(v, str):
+            if v != "inf":
+                raise InstanceFormatError(f"unknown coefficient string {v!r}")
+            v = math.inf
+        elif not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise InstanceFormatError("coefficient must be a number or the string 'inf'")
+        triples.append((i, j, v))
+    if n < 2:
+        raise InstanceFormatError("n must be an integer >= 2")
+    quad = np.zeros((n, n), dtype=float)
+    np.fill_diagonal(quad, np.nan)
+    seen: dict[tuple[int, int], float] = {}
+    for i, j, v in triples:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise InstanceFormatError(f"index out of range in pair ({i},{j})")
+        if i == j:
+            raise InstanceFormatError(f"diagonal pair ({i},{j}) is not allowed")
+        v = _coefficient(v)
+        key = (min(i, j), max(i, j))
+        if key in seen and seen[key] != v:
+            raise InstanceFormatError(f"asymmetric entry for pair {key}: {seen[key]} vs {v}")
+        seen[key] = v
+        quad[i - 1, j - 1] = v
+        quad[j - 1, i - 1] = v
+    lin = np.zeros(n) if linear is None else np.asarray(linear, dtype=float)
+    return QuadraticInstance(n, r, lin, quad)
+
+
+def serialize_instance(instance: QuadraticInstance) -> str:
+    """Nested-loop serializer: a dict per nonzero pair, then ``json.dumps``."""
+    doc: dict = {"n": instance.n, "r": instance.r}
+    if np.any(instance.linear != 0.0):
+        doc["linear"] = [float(v) for v in instance.linear]
+    entries = []
+    for i in range(instance.n):
+        for j in range(i + 1, instance.n):
+            v = instance.quad[i, j]
+            if v != 0.0:
+                entries.append(
+                    {"i": i + 1, "j": j + 1, "v": "inf" if math.isinf(v) else float(v)}
+                )
+    doc["quad"] = entries
+    return json.dumps(doc)

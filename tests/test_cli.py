@@ -144,6 +144,44 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 4, "r": 2, "quad": null}',
+        '{"n": 4, "r": 2, "quad": 5}',
+        '{"n": 4, "r": 2, "linear": [null, 0, 0, 0], "quad": []}',
+        '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": 1%s}]}' % ("0" * 400),
+        '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": 1e400}]}',
+        '{"n": 4, "r": 2, "linear": [true, 0, 0, 0], "quad": []}',
+        '{"n": 4, "r": 2, "linear": ["2", 0, 0, 0], "quad": []}',
+        '{"n": 3000000, "r": 0}',
+        b'{"n": 4, "r": 2, "quad": [], "note": "\xff"}',
+    ],
+    ids=["quad-null", "quad-number", "linear-null", "int-overflow", "float-overflow",
+         "linear-bool", "linear-string", "huge-n-bad-r", "not-utf8"],
+)
+def test_invalid_document_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main(["test", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_matrix_too_large_exit_code(tmp_path, capsys):
+    # a 50-byte document whose n x n matrix would need about 72 TB
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 3000000, "r": 1, "quad": []}')
+    code = main(["test", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_internal_inconsistency_exit_code(capsys, golden_yes_path, monkeypatch):
     def broken(*args, **kwargs):
         raise q.InternalInconsistencyError("forced for the test")

@@ -169,6 +169,23 @@ def test_parse_duplicate_same_value_ok():
         '{"n": 4, "r": 2, "linear": [1, 2], "quad": []}',
         '{"n": 4, "r": 2, "quad": [], "extra": 1}',
         '{"n": 4.0, "r": 2, "quad": []}',
+        '{"n": 4, "r": 2, "quad": null}',
+        '{"n": 4, "r": 2, "quad": 5}',
+        '{"n": 4, "r": 2, "linear": [null, 0, 0, 0], "quad": []}',
+        pytest.param(
+            '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": 1%s}]}' % ("0" * 400),
+            id="int-literal-beyond-double",
+        ),
+        '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": 1e400}]}',
+        '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": -1e400}]}',
+        '{"n": 4, "r": 2, "linear": [true, 0, 0, 0], "quad": []}',
+        '{"n": 4, "r": 2, "linear": ["2", 0, 0, 0], "quad": []}',
+        '{"n": 4, "r": 2, "quad": [{"i": 1, "j": 2, "v": 1, "w": 0}]}',
+        '{"n": 4, "r": 2, "quad": [[1, 2, 3]]}',
+        '{"n": 4, "r": 2, "quad": [{"i": true, "j": 2, "v": 1}]}',
+        '{"n": 4, "r": 2, "quad": [{"i": 3, "j": 1, "v": 1}, {"i": 2, "j": true, "v": 1}]}',
+        pytest.param("1" * 5000, id="int-literal-beyond-4300-digits"),
+        pytest.param("[" * 100000, id="nesting-beyond-recursion-limit"),
     ],
 )
 def test_parse_rejects_malformed(doc):
