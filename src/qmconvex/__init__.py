@@ -28,7 +28,6 @@ from .core import (
     approx_eq,
     approx_gt,
     approx_le,
-    approx_lt,
     parse_instance,
     relabel,
     serialize_instance,

@@ -4,16 +4,18 @@ Subcommands: test, classify, explain, oracle, crosscheck, gen, bench.
 Output is JSON on stdout (human-readable only under --pretty) and fully
 deterministic for a given config and input, so scripts can diff it.
 
-Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance,
-4 I/O error or out of memory (an n too large for the n x n matrix),
-5 internal inconsistency (a bug, reported on stderr).
-MCONVEX_EPSILON overrides the default tolerance.
+Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
+or option value (an epsilon that is not a finite positive number, a
+budget below 1), 4 I/O error or out of memory (an n too large for the
+n x n matrix), 5 internal inconsistency (a bug, reported on stderr).
+The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -59,14 +61,22 @@ class RunConfig:
     repeats: int = 3
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise InstanceFormatError("epsilon must be positive")
         if self.budget <= 0:
             raise InstanceFormatError("budget must be positive")
 
 
-def _default_epsilon() -> float:
-    return float(os.environ.get("MCONVEX_EPSILON", DEFAULT_EPSILON))
+def _read_epsilon(args: argparse.Namespace) -> float:
+    """--epsilon, else MCONVEX_EPSILON, else the default: finite and positive."""
+    source, text = "--epsilon", args.epsilon
+    if text is None:
+        source, text = "MCONVEX_EPSILON", os.environ.get("MCONVEX_EPSILON", repr(DEFAULT_EPSILON))
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise InstanceFormatError(f"{source} must be a finite positive number, got {text!r}")
+    return eps
 
 
 def _read_text(config: RunConfig) -> str:
@@ -204,7 +214,7 @@ def _cmd_bench(config: RunConfig) -> int:
             verdict = fast_tester.test_mconvexity(instance, eps=config.epsilon)
             times.append(time.perf_counter() - start)
             if verdict.status != "m_convex":
-                raise RuntimeError(f"benchmark instance at n={n} was not accepted")
+                raise InternalInconsistencyError(f"benchmark instance at n={n} was not accepted")
         results.append({"n": n, "seconds_median": float(np.median(times)), "runs": times})
     _emit({"seed": config.seed, "results": results}, config)
     return 0
@@ -228,7 +238,7 @@ def run(config: RunConfig) -> int:
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default=None, help="instance JSON path (default: stdin)")
     parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
-    parser.add_argument("--epsilon", type=float, default=_default_epsilon())
+    parser.add_argument("--epsilon", help="relative tolerance (default: MCONVEX_EPSILON or 1e-9)")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
@@ -291,7 +301,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=args.command)
     config.input_path = getattr(args, "input", None)
     config.output_path = getattr(args, "output", None) or getattr(args, "out", None)
-    config.epsilon = getattr(args, "epsilon", _default_epsilon())
+    config.epsilon = _read_epsilon(args)
     config.assume_condition_a = getattr(args, "assume_condition_a", False)
     config.budget = getattr(args, "budget", fast_tester.DEFAULT_BRUTE_FORCE_BUDGET)
     config.seed = getattr(args, "seed", 0)

@@ -20,14 +20,14 @@ import array
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 INF = math.inf
 
-#: Default relative tolerance for equality of finite values.  Two finite
-#: numbers x, y are considered equal when |x - y| <= eps * max(1, |x|, |y|).
+#: Default relative tolerance eps; comparisons allow eps * instance.scale.
 DEFAULT_EPSILON = 1e-9
 
 # Verdict statuses.
@@ -56,45 +56,29 @@ class InternalInconsistencyError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Tolerant comparisons on R ∪ {+inf}
+# with the absolute slack of QuadraticInstance.slack (default: a unit-scale
+# instance's).  With a finite slack, +inf equals only +inf and exceeds all.
 
 
-def tolerance(x: float, y: float, eps: float = DEFAULT_EPSILON) -> float:
-    """Absolute slack used when comparing the finite values x and y."""
-    return eps * max(1.0, abs(x), abs(y))
+def approx_eq(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:
+    return x == y or abs(x - y) <= slack
 
 
-def approx_eq(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return x == y
-    return abs(x - y) <= tolerance(x, y, eps)
-
-
-def approx_eq_array(x, y, eps: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Elementwise approx_eq over broadcast arrays; +inf equals only +inf."""
+def approx_eq_array(x, y, slack: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Elementwise approx_eq over broadcast arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # |x - y| is +inf if one side is +inf or it overflows, NaN if both are
-        diff = np.abs(x - y)
-        close = diff <= eps * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    return (x == y) | (close & np.isfinite(diff))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and overflow
+        return (x == y) | (np.abs(x - y) <= slack)
 
 
-def approx_le(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return x <= y
-    return x <= y + tolerance(x, y, eps)
+def approx_le(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:
+    return x <= y + slack
 
 
-def approx_gt(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
-    """True when x exceeds y by more than the shared tolerance."""
-    if math.isinf(x) or math.isinf(y):
-        return x > y
-    return x > y + tolerance(x, y, eps)
-
-
-def approx_lt(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
-    return approx_gt(y, x, eps)
+def approx_gt(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:
+    """True when x exceeds y by more than the slack."""
+    return x > y + slack
 
 
 def as_coefficient(value: float, *, allow_inf: bool = True) -> float:
@@ -178,6 +162,18 @@ class QuadraticInstance:
             triples = list(entries)
         rows, cols, values = zip(*triples) if triples else ((), (), ())
         return _scatter(n, r, rows, cols, np.array(values, dtype=float), linear)
+
+    @cached_property
+    def scale(self) -> float:
+        """Largest finite |coefficient|, linear ones too, at least 1."""
+        finite = self.quad < INF  # false on +inf and on the NaN diagonal
+        hi = self.quad.max(where=finite, initial=-INF)
+        lo = self.quad.min(where=finite, initial=INF)
+        return float(max(1.0, hi, -lo, np.abs(self.linear).max()))
+
+    def slack(self, eps: float) -> float:
+        """Absolute slack of every tolerant comparison on this instance."""
+        return eps * self.scale
 
     def pair(self, i: int, j: int) -> float:
         """Coefficient of the pair {i, j}, 1-based."""

@@ -12,8 +12,8 @@ laminar plateau family (``decompose`` and ``reconstruct``) is kept as a
 certificate API; the decision does not use it.
 
 Type II and III instances reduce to additive rank-one structure on cross
-blocks, checked through adjacent 2x2 equalities that propagate to all
-index pairs.
+blocks, checked cell by cell against the block's first row and column.
+Every comparison allows one absolute slack, ``QuadraticInstance.slack``.
 
 The pipeline short-circuits the degenerate slices r = 1 and r = n-1,
 rejects on a failed condition B when condition A is assumed, falls back
@@ -137,14 +137,15 @@ def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
     return NormalizedMatrix(n, global_min, offsets, reduced)
 
 
-def decompose(normalized: NormalizedMatrix, eps: float = DEFAULT_EPSILON) -> LaminarFamily:
+def decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
     """Split [n] into nested plateaus by repeated pivot partitioning.
 
     Each step takes the smallest index of the current set as pivot,
     gathers the pivot-row minimum e and its argmin set X, records the
     current set as a plateau when e strictly exceeds the inherited value
     (ties merge), and recurses on X and its complement.  Recursion stops
-    on singletons and below +inf plateaus.  O(n^2) total.
+    on singletons and below +inf plateaus.  O(n^2) total.  ``slack`` is
+    the instance's absolute slack (the default suits a unit scale).
     """
     reduced = normalized.reduced
     root = LaminarNode(value=normalized.global_min)
@@ -160,12 +161,12 @@ def decompose(normalized: NormalizedMatrix, eps: float = DEFAULT_EPSILON) -> Lam
         rest = members[1:]
         row = reduced[pivot, rest]
         e = float(row.min())
-        mask = approx_eq_array(row, e, eps)
+        mask = approx_eq_array(row, e, slack)
         argmin = rest[mask]
         complement = np.concatenate(([pivot], rest[~mask]))
         node = parent
         value = inherited
-        if approx_gt(e, inherited, eps):
+        if approx_gt(e, inherited, slack):
             node = LaminarNode(value=e)
             parent.children.append(node)
             value = e
@@ -231,7 +232,7 @@ def reconstruct(family: LaminarFamily, n: int) -> np.ndarray:
 
 
 def check_anti_ultrametric(
-    normalized: NormalizedMatrix, eps: float = DEFAULT_EPSILON
+    normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
 ) -> bool:
     """True iff reduced[i][j] >= min(reduced[i][k], reduced[j][k]) for all
     distinct triples, decided by one Prim pass in O(n^2).
@@ -243,8 +244,8 @@ def check_anti_ultrametric(
     the bottleneck between the indices at positions i < j of the visit
     order is the smallest join weight w[i+1..j].  Each joining row is
     compared against those join weights, which are exact tree edges, never
-    against entries that were themselves only accepted within eps; the
-    pass stops at the first row that differs.
+    against entries that were themselves only accepted within the slack;
+    the pass stops at the first row that differs by more than ``slack``.
     """
     reduced = normalized.reduced
     n = normalized.n
@@ -257,7 +258,7 @@ def check_anti_ultrametric(
     for k in range(1, n):
         v = int(np.argmax(best))
         np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
-        if not approx_eq_array(reduced[v, order[:k]], bottleneck[:k], eps).all():
+        if not approx_eq_array(reduced[v, order[:k]], bottleneck[:k], slack).all():
             return False
         order[k] = v
         row = reduced[v]
@@ -274,8 +275,8 @@ def check_anti_ultrametric(
 
 def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
     """Type I: normalize, then decide the reversed ultrametric inequality."""
-    normalized = normalize_type1(instance)
-    ok = check_anti_ultrametric(normalized, eps)
+    slack = instance.slack(eps)  # first, so its n x n mask is freed before normalizing
+    ok = check_anti_ultrametric(normalize_type1(instance), slack)
     return Verdict(
         M_CONVEX if ok else NOT_M_CONVEX,
         method="algorithm-I",
@@ -284,13 +285,14 @@ def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Ver
     )
 
 
-def _adjacent_2x2_ok(block: np.ndarray, eps: float) -> bool:
-    # block rows/cols are cross pairs, all finite under condition B
+def _adjacent_2x2_ok(block: np.ndarray, slack: float) -> bool:
+    # cross pairs, all finite under condition B; anchoring every cell at the
+    # first row and column keeps the slack from adding up across the block
     if np.isinf(block).any():
         raise InternalInconsistencyError("infinite coefficient in a cross block")
-    lhs = block[:-1, :-1] + block[1:, 1:]
-    rhs = block[1:, :-1] + block[:-1, 1:]
-    return bool(approx_eq_array(lhs, rhs, eps).all())
+    lhs = block[1:, 1:] + block[0, 0]
+    rhs = block[1:, :1] + block[:1, 1:]
+    return bool(approx_eq_array(lhs, rhs, slack).all())
 
 
 def _cross_blocks(
@@ -317,9 +319,10 @@ def _cross_verdict(
     type_label: str,
     eps: float,
 ) -> Verdict:
+    slack = instance.slack(eps)
     # rows[:, None] indexes like np.ix_ at a fraction of its per-call cost
     ok = all(
-        _adjacent_2x2_ok(instance.quad[rows[:, None], cols], eps)
+        _adjacent_2x2_ok(instance.quad[rows[:, None], cols], slack)
         for rows, cols in _cross_blocks(instance.n, decomposition, type_label)
     )
     return Verdict(
@@ -336,8 +339,9 @@ def test_type2(
     eps: float = DEFAULT_EPSILON,
 ) -> Verdict:
     """Type II: for every big component, the block against everything else
-    must satisfy all adjacent 2x2 additive equalities, which propagate to
-    a_ij + a_kl = a_il + a_jk for all i,k inside and j,l outside."""
+    must be additive, a_ij + a_kl = a_il + a_kj for all i,k inside and j,l
+    outside; anchoring k and l at the block's first row and column checks
+    all of them."""
     return _cross_verdict(instance, decomposition, TYPE_II, eps)
 
 
@@ -346,7 +350,7 @@ def test_type3(
     decomposition: structure.ComponentDecomposition,
     eps: float = DEFAULT_EPSILON,
 ) -> Verdict:
-    """Type III: same 2x2 propagation on each block between two distinct
+    """Type III: the same additivity on each block between two distinct
     big components."""
     return _cross_verdict(instance, decomposition, TYPE_III, eps)
 
@@ -435,19 +439,9 @@ def test_mconvexity(
 # Witness extraction (explain mode, O(n^4))
 
 
-def _min_attained_once(sums: tuple[float, float, float], eps: float) -> bool:
-    smallest = min(sums)
-    if math.isinf(smallest):
-        return False
-    hits = 0
-    for s in sums:
-        if math.isinf(s):
-            continue
-        # core.approx_eq written out: a call per sum slows the O(n^4) scan
-        # by about a quarter, so this one copy of the formula stays inline
-        if abs(s - smallest) <= eps * max(1.0, abs(s), abs(smallest)):
-            hits += 1
-    return hits == 1
+def _min_attained_once(sums: tuple[float, float, float], slack: float) -> bool:
+    smallest, second, _ = sorted(sums)
+    return not math.isinf(smallest) and second - smallest > slack
 
 
 def find_violation_quadruple(
@@ -465,6 +459,7 @@ def find_violation_quadruple(
     respectively one big component against another).
     """
     quad = instance.quad
+    slack = instance.slack(eps)
 
     def sums(i: int, j: int, k: int, l: int):
         return (
@@ -475,7 +470,7 @@ def find_violation_quadruple(
 
     if type_label == TYPE_I:
         for combo in combinations(range(instance.n), 4):
-            if _min_attained_once(sums(*combo), eps):
+            if _min_attained_once(sums(*combo), slack):
                 return tuple(v + 1 for v in combo)
         return None
     if type_label not in (TYPE_II, TYPE_III):
@@ -490,6 +485,6 @@ def find_violation_quadruple(
                     for l in outside:
                         if l <= j:
                             continue
-                        if _min_attained_once(sums(i, j, k, l), eps):
+                        if _min_attained_once(sums(i, j, k, l), slack):
                             return (i + 1, j + 1, k + 1, l + 1)
     return None

@@ -5,6 +5,7 @@ all support pairs, the local four-index exchange criterion, and a
 least-squares linearity certificate.  These routines are deliberately
 independent of the quadratic-time deciders so the two can cross-check
 each other.  Budgets are hard: exceeding one raises instead of sampling.
+Comparisons allow the instance's absolute slack, as in the deciders.
 """
 
 from __future__ import annotations
@@ -161,6 +162,7 @@ def exchange_axiom_holds(
     if not domain.supports:
         return Verdict(INVALID_INSTANCE, method="oracle-exchange", epsilon=eps)
     _check_budget(domain, max_checks)
+    slack = instance.slack(eps)
     values = _domain_values(instance, domain)
     sets = [frozenset(s) for s in domain.supports]
     for xi, x in enumerate(domain.supports):
@@ -181,7 +183,7 @@ def exchange_axiom_holds(
                     x2 = tuple(sorted(sx - {i} | {j}))
                     y2 = tuple(sorted(sy - {j} | {i}))
                     rhs = values.get(x2, INF) + values.get(y2, INF)
-                    if approx_le(rhs, lhs, eps):
+                    if approx_le(rhs, lhs, slack):
                         ok = True
                         break
                 if not ok:
@@ -211,6 +213,7 @@ def local_exchange_holds(
     set_ok, set_witness = is_mconvex_set(domain)
     if not set_ok:
         return Verdict(NOT_M_CONVEX, method="oracle-local", witness=set_witness, epsilon=eps)
+    slack = instance.slack(eps)
     values = _domain_values(instance, domain)
     sets = [frozenset(s) for s in domain.supports]
     for xi in range(len(domain.supports)):
@@ -227,7 +230,7 @@ def local_exchange_holds(
             b = values.get(tuple(sorted(z | {j, l})), INF)
             c = values.get(tuple(sorted(z | {i, l})), INF)
             d = values.get(tuple(sorted(z | {j, k})), INF)
-            if not approx_le(min(a + b, c + d), lhs, eps):
+            if not approx_le(min(a + b, c + d), lhs, slack):
                 witness = Witness(QUADRUPLE_VIOLATION, indices=(i, j, k, l))
                 return Verdict(
                     NOT_M_CONVEX, method="oracle-local", witness=witness, epsilon=eps
@@ -290,19 +293,15 @@ def linear_certificate(
 # Witness re-verification
 
 
-def _pairing_sums(instance: QuadraticInstance, i: int, j: int, k: int, l: int):
-    a = instance.pair
-    return a(i, j) + a(k, l), a(i, k) + a(j, l), a(i, l) + a(j, k)
-
-
 def quadruple_violated(
     instance: QuadraticInstance, i: int, j: int, k: int, l: int, eps: float = DEFAULT_EPSILON
 ) -> bool:
     """True when the three pairing sums of {i,j,k,l} attain their minimum
     exactly once, i.e. some ordering fails sum >= min(other two)."""
-    sums = _pairing_sums(instance, i, j, k, l)
+    a = instance.pair
+    sums = (a(i, j) + a(k, l), a(i, k) + a(j, l), a(i, l) + a(j, k))
     smallest = min(sums)
-    hits = sum(1 for s in sums if approx_eq(s, smallest, eps))
+    hits = sum(1 for s in sums if approx_eq(s, smallest, instance.slack(eps)))
     return hits == 1
 
 
@@ -326,9 +325,10 @@ def verify_witness(
         if math.isinf(fx) or math.isinf(fy) or i not in sx - sy:
             return False
         lhs = fx + fy
+        slack = instance.slack(eps)
         for j in sy - sx:
             rhs = evaluate(instance, sx - {i} | {j}) + evaluate(instance, sy - {j} | {i})
-            if approx_le(rhs, lhs, eps):
+            if approx_le(rhs, lhs, slack):
                 return False
         return True
     raise ValueError(f"unknown witness kind {witness.kind!r}")

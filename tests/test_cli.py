@@ -199,6 +199,16 @@ def test_config_validation(capsys, golden_yes_path):
     assert code == 3
     code, _ = run_cli(capsys, "test", "--input", golden_yes_path, "--budget", "0")
     assert code == 3
+    # epsilon must be a finite positive number; argparse's exit 2 would read
+    # as "undecided", and NaN or Infinity would not be valid JSON
+    for bad in ("abc", "nan", "inf", "0", "-1"):
+        code = main(["test", "--input", golden_yes_path, "--epsilon", bad])
+        captured = capsys.readouterr()
+        assert code == 3, bad
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --epsilon must be a finite positive number, got {bad!r}\n"
+        )
 
 
 def test_epsilon_env_override(capsys, golden_yes_path, monkeypatch):
@@ -206,6 +216,36 @@ def test_epsilon_env_override(capsys, golden_yes_path, monkeypatch):
     code, out = run_cli(capsys, "test", "--input", golden_yes_path)
     assert code == 0
     assert json.loads(out)["epsilon"] == 0.001
+    # the flag wins over the environment
+    code, out = run_cli(capsys, "test", "--input", golden_yes_path, "--epsilon", "0.01")
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 0.01
+    for bad in ("abc", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("MCONVEX_EPSILON", bad)
+        for argv in (["test", "--input", golden_yes_path], ["gen", "--n", "6"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3, (bad, argv)
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: MCONVEX_EPSILON must be a finite positive number, got {bad!r}\n"
+            )
+    monkeypatch.setenv("MCONVEX_EPSILON", "abc")
+    code, out = run_cli(capsys, "test", "--input", golden_yes_path, "--epsilon", "0.01")
+    assert code == 0  # not read when the flag is given
+
+
+def test_bench_rejection_is_an_internal_inconsistency(capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        return q.Verdict(q.NOT_M_CONVEX, method="forced")
+
+    monkeypatch.setattr(q.fast_tester, "test_mconvexity", reject)
+    code = main(["bench", "--sizes", "30", "--repeats", "1"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err == (
+        "error: internal inconsistency: benchmark instance at n=30 was not accepted\n"
+    )
 
 
 def test_pretty_flag(capsys, golden_yes_path):

@@ -56,6 +56,18 @@ def test_approx_eq_array_matches_scalar_form():
     assert approx_eq_array([1.0, q.INF], 1.0 + 1e-12).tolist() == [True, False]
 
 
+def test_approx_comparisons_use_an_absolute_slack():
+    # the slack does not grow with the compared values; an instance's
+    # magnitude enters once, through QuadraticInstance.slack
+    assert not q.approx_eq(1e6, 1e6 + 1e-4)
+    assert q.approx_eq(1e6, 1e6 + 1e-4, 1e-3)
+    assert q.approx_le(1e6 + 1e-4, 1e6, 1e-3)
+    assert q.approx_gt(1e-3, 0.0, 1e-4) and not q.approx_gt(1e-3, 0.0, 1e-3)
+    assert approx_eq_array([1e6, 0.0, q.INF], [1e6 + 1e-4, 1e-4, q.INF]).tolist() == [
+        False, False, True
+    ]
+
+
 @given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))
 def test_approx_eq_reflexive(x):
     assert q.approx_eq(x, x)

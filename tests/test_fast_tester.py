@@ -366,6 +366,29 @@ def test_type1_relabel_invariance_at_scale():
                     assert verdict.status == want and verdict.method == "algorithm-I"
 
 
+@pytest.mark.parametrize("label, r", [(q.TYPE_III, 2), (q.TYPE_II, 5)])
+def test_cross_block_slack_does_not_add_up(label, r):
+    # the 5-clique 1..5 against 6..10 (a second 5-clique for type III,
+    # isolated indices for type II), cross entries 1 + 0.9e-9 * i * j:
+    # a_ij + a_kl - a_il - a_kj = 0.9e-9 * (i - k) * (j - l), so adjacent
+    # 2x2 cells are off by 0.9e-9, under the slack, and the block's corners
+    # 1, 5 and 6, 10 by 16 times that
+    n = 10
+    quad = 1 + 0.9e-9 * np.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    quad[:5, :5] = q.INF
+    if label == q.TYPE_III:
+        quad[5:, 5:] = q.INF
+    np.fill_diagonal(quad, np.nan)
+    inst = q.QuadraticInstance(n, r, np.zeros(n), quad)
+    decomp = q.decompose_components(q.build_infinity_graph(inst))
+    scan = scan_type3_equalities if label == q.TYPE_III else scan_type2_equalities
+    assert not scan(inst, decomp.big)
+    assert q.exchange_axiom_holds(inst).status == q.NOT_M_CONVEX
+    verdict = q.test_mconvexity(inst, explain=True)
+    assert (verdict.status, verdict.type_label) == (q.NOT_M_CONVEX, label)
+    assert q.verify_witness(inst, verdict.witness)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline policy
 
