@@ -5,9 +5,11 @@ Output is JSON on stdout (human-readable only under --pretty) and fully
 deterministic for a given config and input, so scripts can diff it.
 
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
-or option value (an epsilon that is not a finite positive number, a
-budget below 1), 4 I/O error or out of memory (an n too large for the
-n x n matrix), 5 internal inconsistency (a bug, reported on stderr).
+or option value (a usage error such as an unknown flag or a non-integer
+--budget, an epsilon that is not a finite positive number, a budget
+below 1), 4 I/O error or out of memory (an n too large for the n x n
+matrix), 5 internal inconsistency (a bug).  Codes 3 to 5 print one
+``error:`` line on stderr.
 The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
 """
 
@@ -19,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +57,8 @@ class RunConfig:
     kind: str = "tree"
     n: int = 8
     r: int = 3
-    sizes: list[int] | None = None
+    sizes: list[int] | None = None  # gen: component sizes; bench: n values
     graph_path: str | None = None
-    bench_sizes: list[int] = field(default_factory=lambda: list(_BENCH_SIZES))
     repeats: int = 3
 
     def __post_init__(self) -> None:
@@ -205,7 +206,7 @@ def _cmd_gen(config: RunConfig) -> int:
 
 def _cmd_bench(config: RunConfig) -> int:
     results = []
-    for n in config.bench_sizes:
+    for n in config.sizes or _BENCH_SIZES:
         r = max(2, n // 4)
         times = []
         for rep in range(config.repeats):
@@ -235,6 +236,21 @@ def run(config: RunConfig) -> int:
     return _DISPATCH[config.command](config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as invalid option values, with one line: argparse's
+    own exit 2 would read as "undecided".  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise InstanceFormatError(f"{self.prog}: {message}")
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default=None, help="instance JSON path (default: stdin)")
     parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
@@ -254,7 +270,7 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmconvex",
         description="Decide M-convexity of quadratic functions on the size-r slice",
     )
@@ -284,48 +300,44 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tree")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--sizes", default=None, help="comma-separated component sizes")
+    p.add_argument("--sizes", type=_int_list, default=None, help="comma-separated component sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph", default=None, help="edge-list file for --kind fgraph")
     p.add_argument("--out", default=None, help="alias for --output")
 
     p = sub.add_parser("bench", help="time the pipeline on growing yes-instances")
     _add_io_flags(p)
-    p.add_argument("--sizes", default=",".join(str(s) for s in _BENCH_SIZES))
+    p.add_argument("--sizes", type=_int_list, default=None,
+                   help=f"comma-separated n values (default: {','.join(map(str, _BENCH_SIZES))})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.input_path = getattr(args, "input", None)
-    config.output_path = getattr(args, "output", None) or getattr(args, "out", None)
-    config.epsilon = _read_epsilon(args)
-    config.assume_condition_a = getattr(args, "assume_condition_a", False)
-    config.budget = getattr(args, "budget", fast_tester.DEFAULT_BRUTE_FORCE_BUDGET)
-    config.seed = getattr(args, "seed", 0)
-    config.explain = getattr(args, "explain", False) or args.command == "explain"
-    config.pretty = getattr(args, "pretty", False)
-    config.method = getattr(args, "method", "exchange")
-    config.kind = getattr(args, "kind", "tree")
-    config.n = getattr(args, "n", 8)
-    config.r = getattr(args, "r", 3)
-    if args.command == "gen" and args.sizes:
-        config.sizes = [int(s) for s in args.sizes.split(",")]
-    if args.command == "bench":
-        config.bench_sizes = [int(s) for s in args.sizes.split(",")]
-        config.repeats = args.repeats
-    config.graph_path = getattr(args, "graph", None)
-    config.__post_init__()
-    return config
+    return RunConfig(
+        command=args.command,
+        input_path=getattr(args, "input", None),
+        output_path=getattr(args, "output", None) or getattr(args, "out", None),
+        epsilon=_read_epsilon(args),
+        assume_condition_a=getattr(args, "assume_condition_a", False),
+        budget=getattr(args, "budget", fast_tester.DEFAULT_BRUTE_FORCE_BUDGET),
+        seed=getattr(args, "seed", 0),
+        explain=getattr(args, "explain", False) or args.command == "explain",
+        pretty=getattr(args, "pretty", False),
+        method=getattr(args, "method", "exchange"),
+        kind=getattr(args, "kind", "tree"),
+        n=getattr(args, "n", 8),
+        r=getattr(args, "r", 3),
+        sizes=getattr(args, "sizes", None),
+        graph_path=getattr(args, "graph", None),
+        repeats=getattr(args, "repeats", 3),
+    )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(build_parser().parse_args(argv))
         return run(config)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

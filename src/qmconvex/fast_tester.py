@@ -12,20 +12,23 @@ laminar plateau family (``decompose`` and ``reconstruct``) is kept as a
 certificate API; the decision does not use it.
 
 Type II and III instances reduce to additive rank-one structure on cross
-blocks, checked cell by cell against the block's first row and column.
-Every comparison allows one absolute slack, ``QuadraticInstance.slack``.
+blocks.  One gather per big component takes its rows against all of its
+columns, and every cell is compared against the component's first row
+and its block's first column; the first failing cell is the witness, so
+explain mode costs the same O(n^2) as the decision.  Every comparison
+allows one absolute slack, ``QuadraticInstance.slack``.
 
 The pipeline short-circuits the degenerate slices r = 1 and r = n-1,
 rejects on a failed condition B when condition A is assumed, falls back
 to the enumeration oracle on small instances otherwise, and dispatches to
-the typed decider after classification.  Witness extraction is a separate
-O(n^4) explain mode so the decision path stays quadratic.
+the typed decider after classification.  Only type I witness extraction
+is a separate O(n^4) scan, run in explain mode, so the decision path
+stays quadratic.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -273,64 +276,63 @@ def check_anti_ultrametric(
 # Typed deciders
 
 
-def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
-    """Type I: normalize, then decide the reversed ultrametric inequality."""
-    slack = instance.slack(eps)  # first, so its n x n mask is freed before normalizing
-    ok = check_anti_ultrametric(normalize_type1(instance), slack)
-    return Verdict(
-        M_CONVEX if ok else NOT_M_CONVEX,
-        method="algorithm-I",
-        type_label=TYPE_I,
-        epsilon=eps,
-    )
-
-
-def _adjacent_2x2_ok(block: np.ndarray, slack: float) -> bool:
-    # cross pairs, all finite under condition B; anchoring every cell at the
-    # first row and column keeps the slack from adding up across the block
-    if np.isinf(block).any():
-        raise InternalInconsistencyError("infinite coefficient in a cross block")
-    lhs = block[1:, 1:] + block[0, 0]
-    rhs = block[1:, :1] + block[:1, 1:]
-    return bool(approx_eq_array(lhs, rhs, slack).all())
-
-
-def _cross_blocks(
-    n: int, decomposition: structure.ComponentDecomposition, type_label: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Lazily yield the 0-based (rows, cols) index arrays of every cross
-    block in the type's quantifier range: for type II each big component
-    against its sorted complement, for type III each pair a < b of big
-    components."""
-    big = [np.asarray(c, dtype=np.intp) - 1 for c in decomposition.big]
-    if type_label == TYPE_II:
-        all_idx = np.arange(n, dtype=np.intp)
-        for rows in big:
-            yield rows, np.setdiff1d(all_idx, rows, assume_unique=True)
-    else:
-        for a, rows in enumerate(big):
-            for cols in big[a + 1:]:
-                yield rows, cols
-
-
-def _cross_verdict(
-    instance: QuadraticInstance,
-    decomposition: structure.ComponentDecomposition,
-    type_label: str,
-    eps: float,
-) -> Verdict:
-    slack = instance.slack(eps)
-    # rows[:, None] indexes like np.ix_ at a fraction of its per-call cost
-    ok = all(
-        _adjacent_2x2_ok(instance.quad[rows[:, None], cols], slack)
-        for rows, cols in _cross_blocks(instance.n, decomposition, type_label)
-    )
+def _typed_verdict(ok: bool, type_label: str, eps: float) -> Verdict:
     return Verdict(
         M_CONVEX if ok else NOT_M_CONVEX,
         method=f"algorithm-{type_label}",
         type_label=type_label,
         epsilon=eps,
     )
+
+
+def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
+    """Type I: normalize, then decide the reversed ultrametric inequality."""
+    slack = instance.slack(eps)  # first, so its n x n mask is freed before normalizing
+    ok = check_anti_ultrametric(normalize_type1(instance), slack)
+    return _typed_verdict(ok, TYPE_I, eps)
+
+
+def _cross_violation(
+    instance: QuadraticInstance,
+    decomposition: structure.ComponentDecomposition,
+    type_label: str,
+    slack: float,
+) -> tuple[int, int, int, int] | None:
+    """First quadruple (1-based) that breaks a_ij + a_kl = a_il + a_kj on
+    the type's cross blocks, or None when every block is additive.
+
+    One gather per big component: its rows against the sorted complement
+    (type II), or against the later big components side by side, one block
+    each (type III).  Every cell (k, l) is compared against the component's
+    first row and the first column of l's block, which checks every 2x2 of
+    the block without letting the slack add up across it.  The answer is
+    the first failing block's first failing cell in row-major order, the
+    quadruple that a block-by-block scan of the quantifier range meets
+    first.  Cross pairs are finite under condition B; an infinite one means
+    the decomposition does not fit the instance.
+    """
+    big = [np.asarray(c, dtype=np.intp) - 1 for c in decomposition.big]
+    sizes = np.array([c.size for c in big], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    for a, rows in enumerate(big):
+        if type_label == TYPE_II:
+            cols = np.setdiff1d(np.arange(instance.n), rows, assume_unique=True)
+            anchor = np.zeros(1, dtype=np.intp)
+        else:  # rows[:0] keeps the concatenation valid after the last component
+            cols = np.concatenate([rows[:0], *big[a + 1:]])
+            anchor = np.repeat(ends[a:-1] - ends[a], sizes[a + 1:])
+        # rows[:, None] indexes like np.ix_ at a fraction of its per-call cost
+        block = instance.quad[rows[:, None], cols]
+        if np.isinf(block).any():
+            raise InternalInconsistencyError("infinite coefficient in a cross block")
+        ok = approx_eq_array(block[1:] + block[0, anchor], block[1:, anchor] + block[0], slack)
+        if ok.all():
+            continue
+        starts = np.broadcast_to(anchor, cols.shape)
+        start = starts[ok.all(axis=0).argmin()]  # the block of the first failing column
+        k, l = np.unravel_index((~ok & (starts == start)).argmax(), ok.shape)
+        return tuple(int(v) + 1 for v in (rows[0], cols[start], rows[k + 1], cols[l]))
+    return None
 
 
 def test_type2(
@@ -342,7 +344,8 @@ def test_type2(
     must be additive, a_ij + a_kl = a_il + a_kj for all i,k inside and j,l
     outside; anchoring k and l at the block's first row and column checks
     all of them."""
-    return _cross_verdict(instance, decomposition, TYPE_II, eps)
+    ok = _cross_violation(instance, decomposition, TYPE_II, instance.slack(eps)) is None
+    return _typed_verdict(ok, TYPE_II, eps)
 
 
 def test_type3(
@@ -352,7 +355,8 @@ def test_type3(
 ) -> Verdict:
     """Type III: the same additivity on each block between two distinct
     big components."""
-    return _cross_verdict(instance, decomposition, TYPE_III, eps)
+    ok = _cross_violation(instance, decomposition, TYPE_III, instance.slack(eps)) is None
+    return _typed_verdict(ok, TYPE_III, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +440,7 @@ def test_mconvexity(
 
 
 # ---------------------------------------------------------------------------
-# Witness extraction (explain mode, O(n^4))
-
-
-def _min_attained_once(sums: tuple[float, float, float], slack: float) -> bool:
-    smallest, second, _ = sorted(sums)
-    return not math.isinf(smallest) and second - smallest > slack
+# Witness extraction (explain mode)
 
 
 def find_violation_quadruple(
@@ -453,38 +452,22 @@ def find_violation_quadruple(
     """First quadruple (1-based) violating the type's condition.
 
     A quadruple violates iff its three pairing sums a_ij + a_kl,
-    a_ik + a_jl, a_il + a_jk attain their minimum exactly once.  Type I
-    scans all quadruples; types II and III scan only those in the
-    condition's quantifier range (two indices inside one big component,
-    respectively one big component against another).
+    a_ik + a_jl, a_il + a_jk attain their minimum exactly once.  Types II
+    and III take the quadruple (i, j, k, l), i < k in one big component and
+    j < l across from it, that their deciding pass finds in O(n^2): the
+    pair inside the component is +inf, so the quadruple violates iff
+    a_ij + a_kl != a_il + a_kj.  Type I scans all quadruples in
+    lexicographic order, O(n^4).
     """
-    quad = instance.quad
     slack = instance.slack(eps)
-
-    def sums(i: int, j: int, k: int, l: int):
-        return (
-            quad[i, j] + quad[k, l],
-            quad[i, k] + quad[j, l],
-            quad[i, l] + quad[j, k],
-        )
-
-    if type_label == TYPE_I:
-        for combo in combinations(range(instance.n), 4):
-            if _min_attained_once(sums(*combo), slack):
-                return tuple(v + 1 for v in combo)
-        return None
-    if type_label not in (TYPE_II, TYPE_III):
+    if type_label in (TYPE_II, TYPE_III):
+        return _cross_violation(instance, decomposition, type_label, slack)
+    if type_label != TYPE_I:
         raise ValueError(f"no quadruple condition for type {type_label!r}")
-    for rows, cols in _cross_blocks(instance.n, decomposition, type_label):
-        inside, outside = rows.tolist(), cols.tolist()
-        for i in inside:
-            for j in outside:
-                for k in inside:
-                    if k <= i:
-                        continue
-                    for l in outside:
-                        if l <= j:
-                            continue
-                        if _min_attained_once(sums(i, j, k, l), slack):
-                            return (i + 1, j + 1, k + 1, l + 1)
+    quad = instance.quad
+    for i, j, k, l in combinations(range(instance.n), 4):
+        sums = (quad[i, j] + quad[k, l], quad[i, k] + quad[j, l], quad[i, l] + quad[j, k])
+        smallest, second, _ = sorted(sums)
+        if not math.isinf(smallest) and second - smallest > slack:
+            return (i + 1, j + 1, k + 1, l + 1)
     return None

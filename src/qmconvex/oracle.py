@@ -281,12 +281,12 @@ def linear_fit(
 def linear_certificate(
     instance: QuadraticInstance,
     *,
-    residual_bound: float = 1e-9,
+    eps: float = DEFAULT_EPSILON,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> LinearCertificate | None:
-    """The affine fit when it reproduces f exactly (residual below bound)."""
+    """The affine fit when its residual is within the instance's slack."""
     cert = linear_fit(instance, max_candidates)
-    return cert if cert.residual < residual_bound else None
+    return cert if cert.residual <= instance.slack(eps) else None
 
 
 # ---------------------------------------------------------------------------

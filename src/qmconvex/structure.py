@@ -60,9 +60,8 @@ class ComponentDecomposition:
 def build_infinity_graph(instance: QuadraticInstance) -> InfinityGraph:
     """Graph on [n] with an edge wherever the pair coefficient is +inf."""
     mask = np.isinf(instance.quad)  # NaN diagonal maps to False
-    neighbors = tuple(
-        tuple(int(j) + 1 for j in np.nonzero(mask[i])[0]) for i in range(instance.n)
-    )
+    idx = np.arange(1, instance.n + 1)
+    neighbors = tuple(tuple(idx[row].tolist()) for row in mask)
     return InfinityGraph(instance.n, neighbors)
 
 

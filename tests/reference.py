@@ -1,7 +1,8 @@
 """Independent reference implementations used only as test oracles.
 
-The scans check the full quantifier ranges directly with numpy broadcasting
-and share no code with the quadratic-time deciders they check.  The
+The scans check the full quantifier ranges directly, with numpy
+broadcasting or, to name the first violating quadruple, plain loops, and
+share no code with the quadratic-time deciders they check.  The
 document parser and serializer at the end are the entry-by-entry versions
 that the array passes in ``qmconvex.core`` replaced.
 """
@@ -93,6 +94,40 @@ def scan_type3_equalities(inst: QuadraticInstance, big, eps: float = 1e-9) -> bo
             if not _cross_equalities_ok(inst.quad[np.ix_(arrays[a], arrays[b])], eps):
                 return False
     return True
+
+
+def first_cross_quadruple(inst: QuadraticInstance, big, type_label: str, eps: float = 1e-9):
+    """First violating quadruple (1-based) of the type-II or type-III
+    condition, or None, by the block-by-block scan: blocks in order (each
+    big component against its sorted complement for type II; each pair
+    a < b of big components for type III), and in each block every
+    (i, j, k, l) with i < k inside and j < l outside in lexicographic
+    order, until the three pairing sums attain their minimum exactly once
+    (under the instance's absolute slack)."""
+    quad = inst.quad
+    slack = inst.slack(eps)
+    comps = [[v - 1 for v in comp] for comp in big]
+    if type_label == "II":
+        blocks = [(rows, [v for v in range(inst.n) if v not in rows]) for rows in comps]
+    else:
+        blocks = [(rows, cols) for a, rows in enumerate(comps) for cols in comps[a + 1:]]
+    for inside, outside in blocks:
+        for i in inside:
+            for j in outside:
+                for k in inside:
+                    if k <= i:
+                        continue
+                    for l in outside:
+                        if l <= j:
+                            continue
+                        smallest, second, _ = sorted((
+                            quad[i, j] + quad[k, l],
+                            quad[i, k] + quad[j, l],
+                            quad[i, l] + quad[j, k],
+                        ))
+                        if not math.isinf(smallest) and second - smallest > slack:
+                            return (i + 1, j + 1, k + 1, l + 1)
+    return None
 
 
 def anti_ultrametric_triples(matrix: np.ndarray, eps: float = 1e-9) -> bool:

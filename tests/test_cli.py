@@ -211,6 +211,42 @@ def test_config_validation(capsys, golden_yes_path):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test", "--budget", "abc"], "qmconvex test: argument --budget: invalid int value: 'abc'"),
+        # "-inf" is not a plain negative number, so argparse reads it as a flag
+        (["test", "--epsilon", "-inf"], "qmconvex test: argument --epsilon: expected one argument"),
+        (["test", "--no-such-flag"], "qmconvex: unrecognized arguments: --no-such-flag"),
+        (["frobnicate"], None),
+        ([], "qmconvex: the following arguments are required: command"),
+        (["gen", "--sizes", "2,x"],
+         "qmconvex gen: argument --sizes: not a comma-separated list of integers: '2,x'"),
+        (["bench", "--sizes", "30,"],
+         "qmconvex bench: argument --sizes: not a comma-separated list of integers: '30,'"),
+    ],
+    ids=["budget-abc", "epsilon-minus-inf", "unknown-flag", "unknown-command", "no-command",
+         "gen-sizes", "bench-sizes"],
+)
+def test_usage_errors_exit_3(capsys, argv, message):
+    # argparse's own exit 2 would read as "undecided"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: qmconvex") and captured.err.count("\n") == 1
+    if message is not None:
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["test", "--help"], ["--version"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_epsilon_env_override(capsys, golden_yes_path, monkeypatch):
     monkeypatch.setenv("MCONVEX_EPSILON", "0.001")
     code, out = run_cli(capsys, "test", "--input", golden_yes_path)

@@ -10,6 +10,7 @@ import qmconvex as q
 from helpers import all_zero, golden_yes, golden_no, random_ab_instance, random_laminar_matrix
 from reference import (
     anti_ultrametric_triples,
+    first_cross_quadruple,
     scan_anti_tree_metric,
     scan_type2_equalities,
     scan_type3_equalities,
@@ -544,6 +545,72 @@ def test_explain_mode_attaches_verified_witness():
 def test_explain_mode_skips_witness_on_accept():
     verdict = q.test_mconvexity(golden_yes(), explain=True)
     assert verdict.status == q.M_CONVEX and verdict.witness is None
+
+
+def _bumped_cross_instance(rng: np.random.Generator, label: str) -> q.QuadraticInstance:
+    """Relabeled type II or III yes-instance with up to two integer bumps."""
+    count = int(rng.integers(3, 6))
+    sizes = [int(rng.integers(1, 4)) for _ in range(count)]
+    sizes[0] = max(sizes[0], 2)
+    if label == q.TYPE_III:
+        sizes[1] = max(sizes[1], 2)
+    r = count - 1 if label == q.TYPE_II else count
+    inst = q.gen_linear_typed(sizes, r, int(rng.integers(1e6)))
+    inst = q.relabel(inst, [int(v) + 1 for v in rng.permutation(inst.n)])
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = (int(v) + 1 for v in rng.choice(inst.n, size=2, replace=False))
+        if np.isfinite(inst.pair(i, j)):
+            inst = q.perturb(inst, (i, j), float(rng.choice((-2.0, -1.0, 1.0, 2.0))))
+    return inst
+
+
+def test_cross_witness_matches_block_scan():
+    # the deciding pass names the quadruple that the block-by-block scan of
+    # the quantifier range meets first: first failing block, then its first
+    # failing cell in row-major order
+    rng = np.random.default_rng(47)
+    rejected = two_block = 0
+    for trial in range(300):
+        label = (q.TYPE_II, q.TYPE_III)[trial % 2]
+        expected = None
+        if trial % 6 == 1:
+            # two failing blocks of the component {1, 2, 3}: its last row
+            # against {4, 5} and its middle row against {6, 7}, so a
+            # row-major walk over the whole gather would pick the later block
+            inst = q.gen_linear_typed([3, 2, 2, 1], 4, int(rng.integers(1e6)))
+            inst = q.perturb(q.perturb(inst, (3, 5), 1.0), (2, 7), -1.0)
+            expected = (1, 4, 3, 5)
+            two_block += 1
+        else:
+            inst = _bumped_cross_instance(rng, label)
+        decomp = q.decompose_components(q.build_infinity_graph(inst))
+        if inst.r in (1, inst.n - 1) or q.classify(decomp, inst.r) != label:
+            continue
+        found = q.find_violation_quadruple(inst, decomp, label)
+        assert found == first_cross_quadruple(inst, decomp.big, label)
+        if expected is not None:
+            assert found == expected
+        verdict = q.test_mconvexity(inst, explain=True)
+        assert (verdict.status, verdict.type_label) == (
+            q.M_CONVEX if found is None else q.NOT_M_CONVEX, label
+        )
+        if found is not None:
+            rejected += 1
+            assert verdict.witness.indices == found
+            assert q.verify_witness(inst, verdict.witness)
+    assert rejected > 100 and two_block == 50
+
+
+def test_type3_explain_finds_violation_in_last_block():
+    # 25 cliques of 8 at n=200; only the last block (185..192 against
+    # 193..200) is bumped, so the witness comes from the final block
+    inst = q.perturb(q.gen_linear_typed([8] * 25, 25, seed=5), (192, 200), 1.0)
+    verdict = q.test_mconvexity(inst, explain=True)
+    assert (verdict.status, verdict.type_label) == (q.NOT_M_CONVEX, q.TYPE_III)
+    assert verdict.witness.indices == (185, 193, 192, 200)
+    assert q.verify_witness(inst, verdict.witness)
+    decomp = q.decompose_components(q.build_infinity_graph(inst))
+    assert first_cross_quadruple(inst, decomp.big, q.TYPE_III) == (185, 193, 192, 200)
 
 
 # ---------------------------------------------------------------------------

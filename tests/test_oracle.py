@@ -193,6 +193,24 @@ def test_generic_type1_has_no_certificate():
     assert q.linear_certificate(inst) is None
 
 
+def test_linear_certificate_scales_with_the_instance():
+    # the residual is held to eps times the instance's scale, so scaling
+    # every coefficient by 2^k keeps the certificate, and the generic type-I
+    # instance, whose residual is about a tenth of its scale, never gets one
+    linear = q.gen_linear_typed([3, 3, 2], 3, 1)
+    generic = q.gen_tree_metric_type1(6, 3, seed=3)
+    for k in (0, 20, 30, 40):
+        scale = 2.0**k
+        big = q.QuadraticInstance(linear.n, linear.r, linear.linear * scale, linear.quad * scale)
+        cert = q.linear_certificate(big)
+        assert cert is not None, k
+        assert cert.residual <= big.slack(q.DEFAULT_EPSILON)
+        scaled = q.QuadraticInstance(
+            generic.n, generic.r, generic.linear * scale, generic.quad * scale
+        )
+        assert q.linear_certificate(scaled) is None, k
+
+
 def test_linear_fit_empty_domain_raises():
     entries = {(i, j): q.INF for i, j in itertools.combinations(range(1, 5), 2)}
     inst = q.QuadraticInstance.from_entries(4, 2, entries)
