@@ -1,15 +1,18 @@
 """Command-line interface.
 
 Subcommands: test, classify, explain, oracle, crosscheck, gen, bench.
+Each subcommand's parser names its handler, and the handler reads the
+parsed namespace; every default is written once, in ``build_parser``.
 Output is JSON on stdout (human-readable only under --pretty) and fully
-deterministic for a given config and input, so scripts can diff it.
+deterministic for given options and input, so scripts can diff it.
 
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
-or option value (a usage error such as an unknown flag or a non-integer
---budget, an epsilon that is not a finite positive number, a budget
-below 1), 4 I/O error or out of memory (an n too large for the n x n
-matrix), 5 internal inconsistency (a bug).  Codes 3 to 5 print one
-``error:`` line on stderr.
+or option value (a usage error such as an unknown flag, a --budget,
+--repeats, --n or --r that is not a positive integer, an epsilon that is
+not a finite positive number, a gen or bench n, r, size or seed that the
+generators refuse), 4 I/O error or out of memory (an n too large for
+the n x n matrix), 5 internal inconsistency (a bug).  Codes 3 to 5 print
+one ``error:`` line on stderr.
 The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
 """
 
@@ -21,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,38 +34,11 @@ from .core import (
     BudgetExceededError,
     InstanceFormatError,
     InternalInconsistencyError,
-    QuadraticInstance,
     parse_instance,
     serialize_instance,
 )
 
 _BENCH_SIZES = (100, 200, 400, 800, 1600, 3200)
-
-
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, resolved from flags and environment."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    epsilon: float = DEFAULT_EPSILON
-    assume_condition_a: bool = False
-    budget: int = fast_tester.DEFAULT_BRUTE_FORCE_BUDGET
-    seed: int = 0
-    explain: bool = False
-    pretty: bool = False
-    method: str = "exchange"
-    kind: str = "tree"
-    n: int = 8
-    r: int = 3
-    sizes: list[int] | None = None  # gen: component sizes; bench: n values
-    graph_path: str | None = None
-    repeats: int = 3
-
-    def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise InstanceFormatError("budget must be positive")
 
 
 def _read_epsilon(args: argparse.Namespace) -> float:
@@ -80,49 +55,44 @@ def _read_epsilon(args: argparse.Namespace) -> float:
     return eps
 
 
-def _read_text(config: RunConfig) -> str:
+def _read_text(args: argparse.Namespace) -> str:
     try:
-        if config.input_path is None or config.input_path == "-":
+        if args.input is None or args.input == "-":
             return sys.stdin.read()
-        with open(config.input_path, "r", encoding="utf-8") as handle:
+        with open(args.input, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise InstanceFormatError(f"document is not UTF-8 text: {exc}") from None
 
 
-def _read_instance(config: RunConfig) -> QuadraticInstance:
-    return parse_instance(_read_text(config))
-
-
-def _emit(payload, config: RunConfig) -> None:
+def _emit(payload, args: argparse.Namespace) -> None:
     if isinstance(payload, str):
         text = payload
-    elif config.pretty:
+    elif args.pretty:
         text = json.dumps(payload, indent=2)
     else:
         text = json.dumps(payload)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
-def _cmd_test(config: RunConfig) -> int:
-    instance = _read_instance(config)
+def _cmd_test(args: argparse.Namespace) -> int:
     verdict = fast_tester.test_mconvexity(
-        instance,
-        assume_condition_a=config.assume_condition_a,
-        brute_force_budget=config.budget,
-        eps=config.epsilon,
-        explain=config.explain,
+        parse_instance(_read_text(args)),
+        assume_condition_a=args.assume_condition_a,
+        brute_force_budget=args.budget,
+        eps=args.epsilon,
+        explain=args.explain,
     )
-    _emit(verdict.to_json(), config)
+    _emit(verdict.to_json(), args)
     return EXIT_CODES[verdict.status]
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    instance = _read_instance(config)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    instance = parse_instance(_read_text(args))
     graph = structure.build_infinity_graph(instance)
     decomposition = structure.decompose_components(graph)
     b_ok, _ = structure.check_condition_b(graph, decomposition)
@@ -137,37 +107,37 @@ def _cmd_classify(config: RunConfig) -> int:
         "components": [list(c) for c in decomposition.big],
         "isolated": list(decomposition.isolated),
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    instance = _read_instance(config)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    instance = parse_instance(_read_text(args))
     runner = (
         oracle.exchange_axiom_holds
-        if config.method == "exchange"
+        if args.method == "exchange"
         else oracle.local_exchange_holds
     )
-    verdict = runner(instance, eps=config.epsilon, max_candidates=config.budget)
-    _emit(verdict.to_json(), config)
+    verdict = runner(instance, eps=args.epsilon, max_candidates=args.budget)
+    _emit(verdict.to_json(), args)
     return EXIT_CODES[verdict.status]
 
 
-def _cmd_crosscheck(config: RunConfig) -> int:
-    instance = _read_instance(config)
+def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    instance = parse_instance(_read_text(args))
     fast = fast_tester.test_mconvexity(
         instance,
-        assume_condition_a=config.assume_condition_a,
-        brute_force_budget=config.budget,
-        eps=config.epsilon,
+        assume_condition_a=args.assume_condition_a,
+        brute_force_budget=args.budget,
+        eps=args.epsilon,
     )
     reference = oracle.exchange_axiom_holds(
-        instance, eps=config.epsilon, max_candidates=config.budget
+        instance, eps=args.epsilon, max_candidates=args.budget
     )
     # an honest "undecided" makes no claim, so it cannot disagree
     agree = fast.status == reference.status or fast.status == "undecided"
     payload = {"fast": fast.to_json(), "oracle": reference.to_json(), "agree": agree}
-    _emit(payload, config)
+    _emit(payload, args)
     return 0 if agree else 1
 
 
@@ -178,62 +148,55 @@ def _random_sizes(n: int, count: int, rng: np.random.Generator) -> list[int]:
     return sizes
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
-    if config.kind == "tree":
-        instance = generators.gen_tree_metric_type1(config.n, config.r, config.seed)
-    elif config.kind in ("linear2", "linear3"):
-        count = config.r + 1 if config.kind == "linear2" else config.r
-        sizes = config.sizes or _random_sizes(config.n, count, rng)
-        instance = generators.gen_linear_typed(sizes, config.r, config.seed)
-    elif config.kind == "fgraph":
-        if config.graph_path is None:
-            raise InstanceFormatError("--graph is required for --kind fgraph")
-        with open(config.graph_path, "r", encoding="utf-8") as handle:
-            graph = generators.parse_edge_list(handle.read())
-        instance = generators.build_f_graph(graph, config.r)
-    elif config.kind == "perturbed":
-        instance = generators.gen_tree_metric_type1(config.n, config.r, config.seed)
-        i = int(rng.integers(1, config.n))
-        j = int(rng.integers(i + 1, config.n + 1))
-        delta = float(rng.choice((-1.0, 1.0)))
-        instance = generators.perturb(instance, (i, j), delta)
-    else:
-        raise InstanceFormatError(f"unknown generator kind {config.kind!r}")
-    _emit(serialize_instance(instance), config)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    try:
+        rng = np.random.default_rng(args.seed)
+        if args.kind == "tree":
+            instance = generators.gen_tree_metric_type1(args.n, args.r, args.seed)
+        elif args.kind in ("linear2", "linear3"):
+            count = args.r + 1 if args.kind == "linear2" else args.r
+            sizes = args.sizes or _random_sizes(args.n, count, rng)
+            instance = generators.gen_linear_typed(sizes, args.r, args.seed)
+        elif args.kind == "fgraph":
+            if args.graph is None:
+                raise InstanceFormatError("--graph is required for --kind fgraph")
+            with open(args.graph, "r", encoding="utf-8") as handle:
+                graph = generators.parse_edge_list(handle.read())
+            instance = generators.build_f_graph(graph, args.r)
+        else:  # perturbed
+            instance = generators.gen_tree_metric_type1(args.n, args.r, args.seed)
+            i = int(rng.integers(1, args.n))
+            j = int(rng.integers(i + 1, args.n + 1))
+            delta = float(rng.choice((-1.0, 1.0)))
+            instance = generators.perturb(instance, (i, j), delta)
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:  # the generators' range checks, and a negative seed
+        raise InstanceFormatError(f"qmconvex gen: {exc}") from None
+    _emit(serialize_instance(instance), args)
     return 0
 
 
-def _cmd_bench(config: RunConfig) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     results = []
-    for n in config.sizes or _BENCH_SIZES:
+    for n in args.sizes:
         r = max(2, n // 4)
         times = []
-        for rep in range(config.repeats):
-            instance = generators.gen_tree_metric_type1(n, r, config.seed + rep)
+        for rep in range(args.repeats):
+            try:
+                instance = generators.gen_tree_metric_type1(n, r, args.seed + rep)
+            except ValueError as exc:
+                raise InstanceFormatError(
+                    f"qmconvex bench: {exc} (n={n}, r={r}, seed={args.seed + rep})"
+                ) from None
             start = time.perf_counter()
-            verdict = fast_tester.test_mconvexity(instance, eps=config.epsilon)
+            verdict = fast_tester.test_mconvexity(instance, eps=args.epsilon)
             times.append(time.perf_counter() - start)
             if verdict.status != "m_convex":
                 raise InternalInconsistencyError(f"benchmark instance at n={n} was not accepted")
         results.append({"n": n, "seconds_median": float(np.median(times)), "runs": times})
-    _emit({"seed": config.seed, "results": results}, config)
+    _emit({"seed": args.seed, "results": results}, args)
     return 0
-
-
-_DISPATCH = {
-    "test": _cmd_test,
-    "classify": _cmd_classify,
-    "explain": _cmd_test,
-    "oracle": _cmd_oracle,
-    "crosscheck": _cmd_crosscheck,
-    "gen": _cmd_gen,
-    "bench": _cmd_bench,
-}
-
-
-def run(config: RunConfig) -> int:
-    return _DISPATCH[config.command](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,6 +214,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", default=None, help="instance JSON path (default: stdin)")
     parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
@@ -263,7 +236,7 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--assume-condition-a", action="store_true")
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=fast_tester.DEFAULT_BRUTE_FORCE_BUDGET,
         help="max C(n,r) for brute-force fallback / enumeration",
     )
@@ -280,65 +253,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the quadratic-time pipeline")
     _add_test_flags(p)
     p.add_argument("--explain", action="store_true", help="attach a witness on rejection")
+    p.set_defaults(handler=_cmd_test)
 
     p = sub.add_parser("classify", help="report components, conditions, and type")
     _add_io_flags(p)
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("explain", help="test with witness extraction forced on")
     _add_test_flags(p)
+    p.set_defaults(handler=_cmd_test, explain=True)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     _add_test_flags(p)
     p.add_argument("--method", choices=("exchange", "local"), default="exchange")
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("crosscheck", help="run fast path and oracle, compare")
     _add_test_flags(p)
+    p.set_defaults(handler=_cmd_crosscheck)
 
     p = sub.add_parser("gen", help="generate an instance")
     _add_io_flags(p)
     p.add_argument("--kind", choices=("tree", "linear2", "linear3", "fgraph", "perturbed"),
                    default="tree")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--n", type=_positive_int, default=8)
+    p.add_argument("--r", type=_positive_int, default=3)
     p.add_argument("--sizes", type=_int_list, default=None, help="comma-separated component sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph", default=None, help="edge-list file for --kind fgraph")
-    p.add_argument("--out", default=None, help="alias for --output")
+    p.add_argument("--out", dest="output", help="alias for --output")
+    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("bench", help="time the pipeline on growing yes-instances")
     _add_io_flags(p)
-    p.add_argument("--sizes", type=_int_list, default=None,
+    p.add_argument("--sizes", type=_int_list, default=list(_BENCH_SIZES),
                    help=f"comma-separated n values (default: {','.join(map(str, _BENCH_SIZES))})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
+    p.set_defaults(handler=_cmd_bench)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None) or getattr(args, "out", None),
-        epsilon=_read_epsilon(args),
-        assume_condition_a=getattr(args, "assume_condition_a", False),
-        budget=getattr(args, "budget", fast_tester.DEFAULT_BRUTE_FORCE_BUDGET),
-        seed=getattr(args, "seed", 0),
-        explain=getattr(args, "explain", False) or args.command == "explain",
-        pretty=getattr(args, "pretty", False),
-        method=getattr(args, "method", "exchange"),
-        kind=getattr(args, "kind", "tree"),
-        n=getattr(args, "n", 8),
-        r=getattr(args, "r", 3),
-        sizes=getattr(args, "sizes", None),
-        graph_path=getattr(args, "graph", None),
-        repeats=getattr(args, "repeats", 3),
-    )
 
 
 def main(argv=None) -> int:
     try:
-        config = _config_from_args(build_parser().parse_args(argv))
-        return run(config)
+        args = build_parser().parse_args(argv)
+        args.epsilon = _read_epsilon(args)
+        return args.handler(args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

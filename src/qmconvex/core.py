@@ -81,18 +81,6 @@ def approx_gt(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:
     return x > y + slack
 
 
-def as_coefficient(value: float, *, allow_inf: bool = True) -> float:
-    """Validate a single coefficient: finite float, or +inf when allowed."""
-    v = float(value)
-    if math.isnan(v):
-        raise InstanceFormatError("NaN is not a valid coefficient")
-    if v == -INF:
-        raise InstanceFormatError("-inf is not representable")
-    if not allow_inf and math.isinf(v):
-        raise InstanceFormatError("coefficient must be finite")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Instance model
 

@@ -276,11 +276,14 @@ def check_anti_ultrametric(
 # Typed deciders
 
 
-def _typed_verdict(ok: bool, type_label: str, eps: float) -> Verdict:
+def _typed_verdict(
+    ok: bool, type_label: str, eps: float, quad: tuple[int, int, int, int] | None = None
+) -> Verdict:
     return Verdict(
         M_CONVEX if ok else NOT_M_CONVEX,
         method=f"algorithm-{type_label}",
         type_label=type_label,
+        witness=None if quad is None else Witness(QUADRUPLE_VIOLATION, indices=quad),
         epsilon=eps,
     )
 
@@ -343,9 +346,9 @@ def test_type2(
     """Type II: for every big component, the block against everything else
     must be additive, a_ij + a_kl = a_il + a_kj for all i,k inside and j,l
     outside; anchoring k and l at the block's first row and column checks
-    all of them."""
-    ok = _cross_violation(instance, decomposition, TYPE_II, instance.slack(eps)) is None
-    return _typed_verdict(ok, TYPE_II, eps)
+    all of them.  A rejection carries the first failing quadruple."""
+    quad = _cross_violation(instance, decomposition, TYPE_II, instance.slack(eps))
+    return _typed_verdict(quad is None, TYPE_II, eps, quad)
 
 
 def test_type3(
@@ -354,9 +357,9 @@ def test_type3(
     eps: float = DEFAULT_EPSILON,
 ) -> Verdict:
     """Type III: the same additivity on each block between two distinct
-    big components."""
-    ok = _cross_violation(instance, decomposition, TYPE_III, instance.slack(eps)) is None
-    return _typed_verdict(ok, TYPE_III, eps)
+    big components, with the same witness on a rejection."""
+    quad = _cross_violation(instance, decomposition, TYPE_III, instance.slack(eps))
+    return _typed_verdict(quad is None, TYPE_III, eps, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,8 @@ def test_mconvexity(
     to the enumeration oracle when C(n, r) fits the budget and report
     undecided beyond it; with clique components, classify by component
     count and run the quadratic-time decider for the type.  In explain
-    mode a rejecting typed verdict carries a violating quadruple.
+    mode a rejecting typed verdict carries a violating quadruple: types II
+    and III find it as they decide, type I by a separate scan.
     """
     n, r = instance.n, instance.r
     if r == 1 or r == n - 1:
@@ -429,7 +433,9 @@ def test_mconvexity(
         verdict = test_type2(instance, decomposition, eps)
     else:
         verdict = test_type3(instance, decomposition, eps)
-    if explain and verdict.status == NOT_M_CONVEX and verdict.witness is None:
+    if not explain:
+        return replace(verdict, witness=None)
+    if verdict.status == NOT_M_CONVEX and verdict.witness is None:
         quad = find_violation_quadruple(instance, decomposition, type_label, eps)
         if quad is None:
             raise InternalInconsistencyError(

@@ -2,8 +2,10 @@
 
 The scans check the full quantifier ranges directly, with numpy
 broadcasting or, to name the first violating quadruple, plain loops, and
-share no code with the quadratic-time deciders they check.  The
-document parser and serializer at the end are the entry-by-entry versions
+share no code with the quadratic-time deciders they check.  Every
+comparison allows the documented absolute slack, eps times the instance's
+scale, which ``_slack`` computes from the coefficients.  The document
+parser and serializer at the end are the entry-by-entry versions
 that the array passes in ``qmconvex.core`` replaced.
 """
 
@@ -22,15 +24,21 @@ from qmconvex import (
 )
 
 
-def _violates_ge(lhs: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarray:
-    """Elementwise failure of lhs >= rhs with relative slack, +inf aware."""
+def _slack(inst: QuadraticInstance, eps: float) -> float:
+    """The documented absolute slack, eps * max(1, largest finite |quad|,
+    largest |linear|), computed here rather than by the instance."""
+    finite = np.abs(inst.quad[np.isfinite(inst.quad)])
+    return eps * max(1.0, finite.max(initial=0.0), np.abs(inst.linear).max(initial=0.0))
+
+
+def _violates_ge(lhs: np.ndarray, rhs: np.ndarray, slack: float) -> np.ndarray:
+    """Elementwise failure of lhs >= rhs by more than the slack, +inf aware."""
     lhs_inf = np.isinf(lhs)
     rhs_inf = np.isinf(rhs)
     both = ~lhs_inf & ~rhs_inf
     lhs_f = np.where(both, lhs, 0.0)
     rhs_f = np.where(both, rhs, 0.0)
-    tol = eps * np.maximum(1.0, np.maximum(np.abs(lhs_f), np.abs(rhs_f)))
-    return (~lhs_inf & rhs_inf) | (both & (lhs_f < rhs_f - tol))
+    return (~lhs_inf & rhs_inf) | (both & (lhs_f < rhs_f - slack))
 
 
 def scan_anti_tree_metric(inst: QuadraticInstance, eps: float = 1e-9) -> bool:
@@ -42,7 +50,7 @@ def scan_anti_tree_metric(inst: QuadraticInstance, eps: float = 1e-9) -> bool:
     s_ik_jl = a[:, None, :, None] + a[None, :, None, :]
     s_il_jk = a[:, None, None, :] + a[None, :, :, None]
     rhs = np.minimum(s_ik_jl, s_il_jk)
-    viol = _violates_ge(s_ij_kl, rhs, eps)
+    viol = _violates_ge(s_ij_kl, rhs, _slack(inst, eps))
     idx = np.arange(n)
     distinct = (
         (idx[:, None, None, None] != idx[None, :, None, None])
@@ -55,8 +63,9 @@ def scan_anti_tree_metric(inst: QuadraticInstance, eps: float = 1e-9) -> bool:
     return not bool((viol & distinct).any())
 
 
-def _cross_equalities_ok(block: np.ndarray, eps: float) -> bool:
-    """M[i,j] + M[k,l] == M[i,l] + M[k,j] for all i != k, j != l."""
+def _cross_equalities_ok(block: np.ndarray, slack: float) -> bool:
+    """M[i,j] + M[k,l] == M[i,l] + M[k,j] within the slack for all i != k,
+    j != l."""
     assert np.isfinite(block).all()
     lhs = block[:, :, None, None] + block[None, None, :, :]
     rhs = block[:, None, None, :] + block.T[None, :, :, None]
@@ -65,20 +74,20 @@ def _cross_equalities_ok(block: np.ndarray, eps: float) -> bool:
     distinct = (rows[:, None, None, None] != rows[None, None, :, None]) & (
         cols[None, :, None, None] != cols[None, None, None, :]
     )
-    tol = eps * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return not bool(((np.abs(lhs - rhs) > tol) & distinct).any())
+    return not bool(((np.abs(lhs - rhs) > slack) & distinct).any())
 
 
 def scan_type2_equalities(inst: QuadraticInstance, big, eps: float = 1e-9) -> bool:
     """Full quantifier range of the type-II condition: every big component
     against everything outside it."""
+    slack = _slack(inst, eps)
     all_idx = np.arange(inst.n)
     for comp in big:
         rows = np.asarray(comp) - 1
         cols = np.setdiff1d(all_idx, rows, assume_unique=True)
         if len(cols) < 2:
             continue
-        if not _cross_equalities_ok(inst.quad[np.ix_(rows, cols)], eps):
+        if not _cross_equalities_ok(inst.quad[np.ix_(rows, cols)], slack):
             return False
     return True
 
@@ -86,12 +95,13 @@ def scan_type2_equalities(inst: QuadraticInstance, big, eps: float = 1e-9) -> bo
 def scan_type3_equalities(inst: QuadraticInstance, big, eps: float = 1e-9) -> bool:
     """Full quantifier range of the type-III condition: every ordered pair
     of distinct big components."""
+    slack = _slack(inst, eps)
     arrays = [np.asarray(comp) - 1 for comp in big]
     for a in range(len(arrays)):
         for b in range(len(arrays)):
             if a == b:
                 continue
-            if not _cross_equalities_ok(inst.quad[np.ix_(arrays[a], arrays[b])], eps):
+            if not _cross_equalities_ok(inst.quad[np.ix_(arrays[a], arrays[b])], slack):
                 return False
     return True
 
@@ -105,7 +115,7 @@ def first_cross_quadruple(inst: QuadraticInstance, big, type_label: str, eps: fl
     order, until the three pairing sums attain their minimum exactly once
     (under the instance's absolute slack)."""
     quad = inst.quad
-    slack = inst.slack(eps)
+    slack = _slack(inst, eps)
     comps = [[v - 1 for v in comp] for comp in big]
     if type_label == "II":
         blocks = [(rows, [v for v in range(inst.n) if v not in rows]) for rows in comps]
@@ -130,8 +140,9 @@ def first_cross_quadruple(inst: QuadraticInstance, big, type_label: str, eps: fl
     return None
 
 
-def anti_ultrametric_triples(matrix: np.ndarray, eps: float = 1e-9) -> bool:
-    """Direct O(n^3) scan of m_ij >= min(m_ik, m_jk) over distinct triples."""
+def anti_ultrametric_triples(matrix: np.ndarray, slack: float = 1e-9) -> bool:
+    """Direct O(n^3) scan of m_ij >= min(m_ik, m_jk) over distinct triples,
+    each allowed the absolute slack."""
     n = matrix.shape[0]
     m = np.where(np.eye(n, dtype=bool), 0.0, matrix)
     lhs = np.broadcast_to(m[:, :, None], (n, n, n))
@@ -142,7 +153,7 @@ def anti_ultrametric_triples(matrix: np.ndarray, eps: float = 1e-9) -> bool:
         & (idx[:, None, None] != idx[None, None, :])
         & (idx[None, :, None] != idx[None, None, :])
     )
-    return not bool((_violates_ge(lhs, rhs, eps) & distinct).any())
+    return not bool((_violates_ge(lhs, rhs, slack) & distinct).any())
 
 
 def condition_a_by_enumeration(inst: QuadraticInstance) -> bool | None:

@@ -224,9 +224,21 @@ def test_config_validation(capsys, golden_yes_path):
          "qmconvex gen: argument --sizes: not a comma-separated list of integers: '2,x'"),
         (["bench", "--sizes", "30,"],
          "qmconvex bench: argument --sizes: not a comma-separated list of integers: '30,'"),
+        # out-of-range values: a zero count, and n, r or sizes the generators refuse
+        (["test", "--budget", "0"], "qmconvex test: argument --budget: invalid int value: '0'"),
+        (["bench", "--repeats", "0"],
+         "qmconvex bench: argument --repeats: invalid int value: '0'"),
+        (["gen", "--kind", "tree", "--n", "3"], "qmconvex gen: need n >= 4 and 2 <= r <= n-2"),
+        (["gen", "--kind", "linear2", "--n", "7", "--r", "3", "--sizes", "0,7"],
+         "qmconvex gen: component sizes must be positive"),
+        (["gen", "--kind", "linear3", "--r", "0"],
+         "qmconvex gen: argument --r: invalid int value: '0'"),
+        (["bench", "--sizes", "2"],
+         "qmconvex bench: need n >= 4 and 2 <= r <= n-2 (n=2, r=2, seed=0)"),
     ],
     ids=["budget-abc", "epsilon-minus-inf", "unknown-flag", "unknown-command", "no-command",
-         "gen-sizes", "bench-sizes"],
+         "gen-sizes", "bench-sizes", "budget-zero", "repeats-zero", "gen-tree-small-n",
+         "gen-zero-size", "gen-r-zero", "bench-small-n"],
 )
 def test_usage_errors_exit_3(capsys, argv, message):
     # argparse's own exit 2 would read as "undecided"

@@ -547,6 +547,33 @@ def test_explain_mode_skips_witness_on_accept():
     assert verdict.status == q.M_CONVEX and verdict.witness is None
 
 
+def test_cross_rejection_is_decided_and_explained_by_one_pass(monkeypatch):
+    # test_type2 and test_type3 name the quadruple as they decide; the
+    # pipeline keeps it only in explain mode, so default output has none
+    calls = []
+    cross_violation = q.fast_tester._cross_violation
+
+    def counted(*args):
+        calls.append(args[2])
+        return cross_violation(*args)
+
+    monkeypatch.setattr(q.fast_tester, "_cross_violation", counted)
+    cases = [
+        (q.perturb(golden_yes(), (4, 5), 1.0), q.TYPE_II, q.test_type2),
+        (q.perturb(q.gen_linear_typed([3, 3, 2, 2], 4, 0), (1, 4), 1.0), q.TYPE_III, q.test_type3),
+    ]
+    for inst, label, decider in cases:
+        decomp = q.decompose_components(q.build_infinity_graph(inst))
+        typed = decider(inst, decomp)
+        assert typed.status == q.NOT_M_CONVEX
+        assert typed.witness.indices == q.find_violation_quadruple(inst, decomp, label)
+        assert q.verify_witness(inst, typed.witness)
+        assert q.test_mconvexity(inst).witness is None
+        calls.clear()
+        assert q.test_mconvexity(inst, explain=True).witness == typed.witness
+        assert calls == [label]
+
+
 def _bumped_cross_instance(rng: np.random.Generator, label: str) -> q.QuadraticInstance:
     """Relabeled type II or III yes-instance with up to two integer bumps."""
     count = int(rng.integers(3, 6))

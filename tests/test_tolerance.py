@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmconvex as q
@@ -72,6 +72,7 @@ def scaled(inst: q.QuadraticInstance, factor: float) -> q.QuadraticInstance:
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("bumped", [False, True])
 @given(seed=seeds)
+@example(seed=4316)  # the quadruple scan once rejected it with a slack relative to each sum
 @settings(max_examples=20, deadline=None)
 def test_noise_far_below_eps_never_flips_the_verdict(kind, bumped, seed):
     base = base_instance(kind, seed)
