@@ -10,7 +10,8 @@ Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
 or option value (a usage error such as an unknown flag, a --budget,
 --repeats, --n or --r that is not a positive integer, an epsilon that is
 not a finite positive number, a gen or bench n, r, size or seed that the
-generators refuse), 4 I/O error or out of memory (an n too large for
+generators refuse, a gen --n or --sizes that does not fit the kind's
+component count), 4 I/O error or out of memory (an n too large for
 the n x n matrix), 5 internal inconsistency (a bug).  Codes 3 to 5 print
 one ``error:`` line on stderr.
 The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
@@ -155,8 +156,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             instance = generators.gen_tree_metric_type1(args.n, args.r, args.seed)
         elif args.kind in ("linear2", "linear3"):
             count = args.r + 1 if args.kind == "linear2" else args.r
+            if args.sizes is None and args.n < count:
+                raise ValueError(
+                    f"--kind {args.kind} with --r {args.r} needs {count} components,"
+                    f" more than --n {args.n}"
+                )
             sizes = args.sizes or _random_sizes(args.n, count, rng)
             instance = generators.gen_linear_typed(sizes, args.r, args.seed)
+            if len(sizes) != count or sum(sizes) != args.n:
+                raise ValueError(
+                    f"--sizes {','.join(map(str, sizes))} must be {count} components"
+                    f" summing to --n {args.n} for --kind {args.kind} with --r {args.r}"
+                )
         elif args.kind == "fgraph":
             if args.graph is None:
                 raise InstanceFormatError("--graph is required for --kind fgraph")
@@ -171,7 +182,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             instance = generators.perturb(instance, (i, j), delta)
     except InstanceFormatError:
         raise
-    except ValueError as exc:  # the generators' range checks, and a negative seed
+    except ValueError as exc:  # range checks here and in the generators, a negative seed
         raise InstanceFormatError(f"qmconvex gen: {exc}") from None
     _emit(serialize_instance(instance), args)
     return 0

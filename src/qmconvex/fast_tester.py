@@ -22,15 +22,16 @@ The pipeline short-circuits the degenerate slices r = 1 and r = n-1,
 rejects on a failed condition B when condition A is assumed, falls back
 to the enumeration oracle on small instances otherwise, and dispatches to
 the typed decider after classification.  Only type I witness extraction
-is a separate O(n^4) scan, run in explain mode, so the decision path
-stays quadratic.
+is a separate scan, run in explain mode, so the decision path stays
+quadratic.  It returns the lexicographically first violating quadruple,
+found by one numpy pass per index pair (i, j) over every k < l after j:
+O(n^2) Python steps, O(n^4) arithmetic in the worst case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -462,8 +463,10 @@ def find_violation_quadruple(
     and III take the quadruple (i, j, k, l), i < k in one big component and
     j < l across from it, that their deciding pass finds in O(n^2): the
     pair inside the component is +inf, so the quadruple violates iff
-    a_ij + a_kl != a_il + a_kj.  Type I scans all quadruples in
-    lexicographic order, O(n^4).
+    a_ij + a_kl != a_il + a_kj.  Type I returns the lexicographically first
+    violating quadruple, found by one numpy pass per pair i < j over the
+    (k, l) triangle j < k < l: O(n^2) Python steps, O(n^4) arithmetic in
+    the worst case.
     """
     slack = instance.slack(eps)
     if type_label in (TYPE_II, TYPE_III):
@@ -471,9 +474,29 @@ def find_violation_quadruple(
     if type_label != TYPE_I:
         raise ValueError(f"no quadruple condition for type {type_label!r}")
     quad = instance.quad
-    for i, j, k, l in combinations(range(instance.n), 4):
-        sums = (quad[i, j] + quad[k, l], quad[i, k] + quad[j, l], quad[i, l] + quad[j, k])
-        smallest, second, _ = sorted(sums)
-        if not math.isinf(smallest) and second - smallest > slack:
-            return (i + 1, j + 1, k + 1, l + 1)
+    n = instance.n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # k < l, cut to size per pair
+    for i in range(n - 3):
+        for j in range(i + 1, n - 2):
+            rest = slice(j + 1, n)
+            m = n - j - 1
+            # cell (k, l) holds the pairing sums of (i, j, j+1+k, j+1+l)
+            s1 = quad[rest, rest] + quad[i, j]
+            s2 = quad[i, rest][:, None] + quad[j, rest]
+            s3 = s2.T
+            # the smallest and the middle sum, as values, in three buffers
+            lo = np.minimum(s1, s2)
+            mid = np.maximum(s1, s2, out=s1)
+            np.minimum(mid, s3, out=mid)
+            np.maximum(mid, lo, out=mid)
+            np.minimum(lo, s3, out=lo)
+            # +inf - +inf would warn, and such a cell cannot violate
+            keep = np.isfinite(lo)
+            keep &= upper[:m, :m]
+            np.subtract(mid, lo, out=mid, where=keep)
+            hit = np.greater(mid, slack, out=np.zeros_like(keep), where=keep)
+            first = int(hit.argmax())  # row-major, so the smallest (k, l)
+            if hit.flat[first]:
+                k, l = divmod(first, m)
+                return (i + 1, j + 1, j + k + 2, j + l + 2)
     return None

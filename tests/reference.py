@@ -11,6 +11,7 @@ that the array passes in ``qmconvex.core`` replaced.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -137,6 +138,21 @@ def first_cross_quadruple(inst: QuadraticInstance, big, type_label: str, eps: fl
                         ))
                         if not math.isinf(smallest) and second - smallest > slack:
                             return (i + 1, j + 1, k + 1, l + 1)
+    return None
+
+
+def first_violating_quadruple(inst: QuadraticInstance, eps: float = 1e-9):
+    """First quadruple (1-based) in lexicographic order whose three pairing
+    sums a_ij + a_kl, a_ik + a_jl, a_il + a_jk attain their minimum exactly
+    once (under the instance's absolute slack), or None: the type-I
+    condition, one quadruple at a time."""
+    quad = inst.quad
+    slack = _slack(inst, eps)
+    for i, j, k, l in itertools.combinations(range(inst.n), 4):
+        sums = (quad[i, j] + quad[k, l], quad[i, k] + quad[j, l], quad[i, l] + quad[j, k])
+        smallest, second, _ = sorted(sums)
+        if not math.isinf(smallest) and second - smallest > slack:
+            return (i + 1, j + 1, k + 1, l + 1)
     return None
 
 

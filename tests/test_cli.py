@@ -235,10 +235,20 @@ def test_config_validation(capsys, golden_yes_path):
          "qmconvex gen: argument --r: invalid int value: '0'"),
         (["bench", "--sizes", "2"],
          "qmconvex bench: need n >= 4 and 2 <= r <= n-2 (n=2, r=2, seed=0)"),
+        # --n and --kind must agree with the components written
+        (["gen", "--kind", "linear2", "--n", "2", "--r", "3"],
+         "qmconvex gen: --kind linear2 with --r 3 needs 4 components, more than --n 2"),
+        (["gen", "--kind", "linear2", "--n", "7", "--r", "2", "--sizes", "3,3"],
+         "qmconvex gen: --sizes 3,3 must be 3 components summing to --n 7"
+         " for --kind linear2 with --r 2"),
+        (["gen", "--kind", "linear3", "--n", "8", "--r", "2", "--sizes", "3,3"],
+         "qmconvex gen: --sizes 3,3 must be 2 components summing to --n 8"
+         " for --kind linear3 with --r 2"),
     ],
     ids=["budget-abc", "epsilon-minus-inf", "unknown-flag", "unknown-command", "no-command",
          "gen-sizes", "bench-sizes", "budget-zero", "repeats-zero", "gen-tree-small-n",
-         "gen-zero-size", "gen-r-zero", "bench-small-n"],
+         "gen-zero-size", "gen-r-zero", "bench-small-n", "gen-n-below-count",
+         "gen-sizes-count", "gen-sizes-sum"],
 )
 def test_usage_errors_exit_3(capsys, argv, message):
     # argparse's own exit 2 would read as "undecided"

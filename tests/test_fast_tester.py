@@ -11,6 +11,7 @@ from helpers import all_zero, golden_yes, golden_no, random_ab_instance, random_
 from reference import (
     anti_ultrametric_triples,
     first_cross_quadruple,
+    first_violating_quadruple,
     scan_anti_tree_metric,
     scan_type2_equalities,
     scan_type3_equalities,
@@ -518,6 +519,76 @@ def test_find_violation_none_on_accepted():
     graph = q.build_infinity_graph(all_zero(6, 3))
     decomp = q.decompose_components(graph)
     assert q.find_violation_quadruple(all_zero(6, 3), decomp, q.TYPE_I) is None
+
+
+def _type1_case(rng: np.random.Generator) -> q.QuadraticInstance:
+    """Type I tree-metric instance, n 4-15, sometimes with an infinite
+    clique of 2-4 indices or noise of eps/100 times max|a|, then 0-3
+    integer bumps."""
+    n = int(rng.integers(4, 16))
+    clique = int(rng.integers(2, 5)) if n >= 7 and rng.random() < 0.4 else 0
+    r = int(rng.integers(2, n - max(clique, 1)))  # s = n - clique + 1 >= r + 2
+    inst = q.gen_tree_metric_type1(n, r, int(rng.integers(2**31)))
+    quad = inst.quad.copy()
+    if clique:
+        members = rng.choice(n, size=clique, replace=False)
+        quad[np.ix_(members, members)] = np.inf
+    if rng.random() < 0.3:
+        noise = np.triu(rng.uniform(-1, 1, (n, n)), 1) * 1e-11 * np.nanmax(np.abs(inst.quad))
+        quad += noise + noise.T
+    np.fill_diagonal(quad, np.nan)
+    inst = q.QuadraticInstance(n, r, inst.linear, quad)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+        if np.isfinite(inst.pair(i, j)):
+            inst = q.perturb(inst, (i, j), float(rng.choice((-2.0, -1.0, 1.0, 2.0))))
+    return inst
+
+
+def test_type1_witness_matches_quadruple_scan():
+    # the numpy pass per (i, j) names the quadruple that the loop over all
+    # quadruples in lexicographic order meets first
+    rng = np.random.default_rng(71)
+    rejected = 0
+    for _ in range(600):
+        inst = _type1_case(rng)
+        decomp = q.decompose_components(q.build_infinity_graph(inst))
+        assert q.classify(decomp, inst.r) == q.TYPE_I
+        found = q.find_violation_quadruple(inst, decomp, q.TYPE_I)
+        assert found == first_violating_quadruple(inst)
+        rejected += found is not None
+    assert 300 < rejected < 600
+
+
+def test_type1_witness_skips_all_infinite_quadruples():
+    # {1, 2, 3, 4} is an infinite clique, so the first nine quadruples of
+    # the scan have three +inf pairing sums; (1, 2, 5, 6) has 0, 1 and +inf
+    entries = {(a, b): q.INF for a, b in itertools.combinations(range(1, 5), 2)}
+    entries[(1, 5)] = 1.0
+    inst = q.QuadraticInstance.from_entries(8, 3, entries)
+    decomp = q.decompose_components(q.build_infinity_graph(inst))
+    assert q.classify(decomp, inst.r) == q.TYPE_I
+    assert q.find_violation_quadruple(inst, decomp, q.TYPE_I) == (1, 2, 5, 6)
+    assert first_violating_quadruple(inst) == (1, 2, 5, 6)
+    verdict = q.test_mconvexity(inst, explain=True)
+    assert verdict.witness.indices == (1, 2, 5, 6)
+    assert q.verify_witness(inst, verdict.witness)
+
+
+def test_type1_witness_deep_in_the_scan():
+    # pair (n-1, n) moved so that a_12 + a_{n-1,n} is the one smallest sum
+    # of {1, 2, n-1, n}, one unit below the others: no earlier quadruple
+    # changes, so the witness sits about C(n-2, 2) quadruples into the scan
+    n = 120
+    inst = q.gen_tree_metric_type1(n, n // 4, 3)
+    a = inst.quad
+    target = min(a[0, n - 2] + a[1, n - 1], a[0, n - 1] + a[1, n - 2]) - 1.0
+    inst = q.perturb(inst, (n - 1, n), target - a[n - 2, n - 1] - a[0, 1])
+    decomp = q.decompose_components(q.build_infinity_graph(inst))
+    assert q.find_violation_quadruple(inst, decomp, q.TYPE_I) == (1, 2, n - 1, n)
+    verdict = q.test_mconvexity(inst, explain=True)
+    assert verdict.witness.indices == (1, 2, n - 1, n)
+    assert q.verify_witness(inst, verdict.witness)
 
 
 def test_find_violation_type2_roles():
