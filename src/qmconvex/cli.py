@@ -2,18 +2,19 @@
 
 Subcommands: test, classify, explain, oracle, crosscheck, gen, bench.
 Each subcommand's parser names its handler, and the handler reads the
-parsed namespace; every default is written once, in ``build_parser``.
-Output is JSON on stdout (human-readable only under --pretty) and fully
-deterministic for given options and input, so scripts can diff it.
+parsed namespace; every default is written once, in ``build_parser`` or
+a constant above it.  Output is JSON on stdout (human-readable only
+under --pretty) and fully deterministic for given options and input, so
+scripts can diff it.
 
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
 or option value (a usage error such as an unknown flag, a --budget,
 --repeats, --n or --r that is not a positive integer, an epsilon that is
 not a finite positive number, a gen or bench n, r, size or seed that the
 generators refuse, a gen --n or --sizes that does not fit the kind's
-component count), 4 I/O error or out of memory (an n too large for
-the n x n matrix), 5 internal inconsistency (a bug).  Codes 3 to 5 print
-one ``error:`` line on stderr.
+component count, a gen option that the kind does not take), 4 I/O error
+or out of memory (an n too large for the n x n matrix), 5 internal
+inconsistency (a bug).  Codes 3 to 5 print one ``error:`` line on stderr.
 The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
 """
 
@@ -40,6 +41,7 @@ from .core import (
 )
 
 _BENCH_SIZES = (100, 200, 400, 800, 1600, 3200)
+_GEN_N = 8
 
 
 def _read_epsilon(args: argparse.Namespace) -> float:
@@ -150,23 +152,29 @@ def _random_sizes(n: int, count: int, rng: np.random.Generator) -> list[int]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    linear, fgraph = args.kind in ("linear2", "linear3"), args.kind == "fgraph"
+    for flag, given, takes in (("--n", args.n, not fgraph), ("--sizes", args.sizes, linear),
+                               ("--graph", args.graph, fgraph)):
+        if given is not None and not takes:
+            raise InstanceFormatError(f"qmconvex gen: --kind {args.kind} does not take {flag}")
+    n = _GEN_N if args.n is None else args.n
     try:
         rng = np.random.default_rng(args.seed)
         if args.kind == "tree":
-            instance = generators.gen_tree_metric_type1(args.n, args.r, args.seed)
+            instance = generators.gen_tree_metric_type1(n, args.r, args.seed)
         elif args.kind in ("linear2", "linear3"):
             count = args.r + 1 if args.kind == "linear2" else args.r
-            if args.sizes is None and args.n < count:
+            if args.sizes is None and n < count:
                 raise ValueError(
                     f"--kind {args.kind} with --r {args.r} needs {count} components,"
-                    f" more than --n {args.n}"
+                    f" more than --n {n}"
                 )
-            sizes = args.sizes or _random_sizes(args.n, count, rng)
+            sizes = args.sizes or _random_sizes(n, count, rng)
             instance = generators.gen_linear_typed(sizes, args.r, args.seed)
-            if len(sizes) != count or sum(sizes) != args.n:
+            if len(sizes) != count or sum(sizes) != n:
                 raise ValueError(
                     f"--sizes {','.join(map(str, sizes))} must be {count} components"
-                    f" summing to --n {args.n} for --kind {args.kind} with --r {args.r}"
+                    f" summing to --n {n} for --kind {args.kind} with --r {args.r}"
                 )
         elif args.kind == "fgraph":
             if args.graph is None:
@@ -175,9 +183,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                 graph = generators.parse_edge_list(handle.read())
             instance = generators.build_f_graph(graph, args.r)
         else:  # perturbed
-            instance = generators.gen_tree_metric_type1(args.n, args.r, args.seed)
-            i = int(rng.integers(1, args.n))
-            j = int(rng.integers(i + 1, args.n + 1))
+            instance = generators.gen_tree_metric_type1(n, args.r, args.seed)
+            i = int(rng.integers(1, n))
+            j = int(rng.integers(i + 1, n + 1))
             delta = float(rng.choice((-1.0, 1.0)))
             instance = generators.perturb(instance, (i, j), delta)
     except InstanceFormatError:
@@ -287,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--kind", choices=("tree", "linear2", "linear3", "fgraph", "perturbed"),
                    default="tree")
-    p.add_argument("--n", type=_positive_int, default=8)
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help=f"index count (default {_GEN_N}; not for --kind fgraph)")
     p.add_argument("--r", type=_positive_int, default=3)
     p.add_argument("--sizes", type=_int_list, default=None, help="comma-separated component sizes")
     p.add_argument("--seed", type=int, default=0)

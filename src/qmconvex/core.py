@@ -165,8 +165,8 @@ class QuadraticInstance:
 
     def pair(self, i: int, j: int) -> float:
         """Coefficient of the pair {i, j}, 1-based."""
-        if i == j:
-            raise IndexError("diagonal entries do not exist")
+        if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"({i}, {j}) is no pair of distinct indices in 1..{self.n}")
         return float(self.quad[i - 1, j - 1])
 
     def __eq__(self, other: object) -> bool:

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import INF, BudgetExceededError, InstanceFormatError, QuadraticInstance
-from .structure import connected_components
+from .structure import InfinityGraph, check_condition_b, decompose_components
 
 
 @dataclass(frozen=True)
@@ -264,20 +264,12 @@ def solve_problem_p(
     touched: set[int] = set()
     for combo in _stable_sets(graph, r, max_candidates):
         touched.update(combo)
-    if not touched:
-        return True
-    adj = graph.adjacency()
-    induced = {v: tuple(sorted(adj[v] & touched)) for v in touched}
+    mask = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)  # 1-based
+    u, v = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    mask[u, v] = mask[v, u] = True
     order = sorted(touched)
-    pos = {v: k for k, v in enumerate(order)}
-    neighbors = tuple(induced[v] for v in order)
-    relabeled = tuple(tuple(pos[w] + 1 for w in nbrs) for nbrs in neighbors)
-    for comp in connected_components(len(order), relabeled):
-        members = [order[v - 1] for v in comp]
-        for u, v in combinations(members, 2):
-            if v not in adj[u]:
-                return False
-    return True
+    induced = InfinityGraph(len(order), mask[np.ix_(order, order)])
+    return check_condition_b(induced, decompose_components(induced))[0]
 
 
 def max_stable_set_size(graph: SimpleGraph) -> int:

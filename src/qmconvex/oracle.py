@@ -57,9 +57,11 @@ def evaluate(instance: QuadraticInstance, support: Iterable[int]) -> float:
     """Objective value at the 0/1 point with the given 1-based support.
 
     Returns +inf when the support has the wrong cardinality or contains a
-    forbidden pair.
+    forbidden pair; raises IndexError for an index outside 1..n.
     """
     idx = sorted(set(support))
+    if idx and not (1 <= idx[0] and idx[-1] <= instance.n):
+        raise IndexError(f"support {idx} is outside 1..{instance.n}")
     if len(idx) != instance.r:
         return INF
     arr = np.asarray(idx, dtype=int) - 1
@@ -308,7 +310,11 @@ def quadruple_violated(
 def verify_witness(
     instance: QuadraticInstance, witness: Witness, eps: float = DEFAULT_EPSILON
 ) -> bool:
-    """Re-check a witness against the instance by direct evaluation."""
+    """Re-check a witness against the instance by direct evaluation.  A
+    witness that names an index outside 1..n, or one index twice, fails."""
+    for named in filter(None, (witness.indices, witness.x, witness.y)):
+        if len(set(named)) < len(named) or not all(1 <= v <= instance.n for v in named):
+            return False
     if witness.kind == DOMAIN_VIOLATION:
         i, j, k = witness.indices
         return (

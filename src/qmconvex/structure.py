@@ -1,12 +1,22 @@
 """Infinity-pattern graph, component decomposition, and instance typing.
 
 The graph has an edge {i, j} exactly where the pair coefficient is +inf
-(a tag match, no tolerance).  Its connected components drive two checks:
+(a tag match, no tolerance); it is that boolean mask, ``np.isinf(quad)``.
+Its connected components drive two checks:
 
 * condition B: every component induces a clique, which (given condition A)
   is equivalent to the effective domain being an exchangeable set;
 * condition A under B: every index extends to a feasible point, which
   under B reduces to counting components against r.
+
+Isolated indices (empty rows) are found in one step.  Each other component
+grows from its smallest member by frontier passes: the next frontier is
+what the frontier rows mark outside the component.  Each row is read once,
+so this is O(n^2) even for a long path.  A component of k indices is a
+clique iff each member has k-1 edges.  If one is not, the witness is
+(u, j, k): u is the first index of the first non-clique component that
+misses a member of it, k the smallest index two steps from u, and j the
+smallest common neighbour of u and k.
 
 Instances are then typed by s = #isolated + #big components relative to r:
 s >= r+2 (type I), s = r+1 (type II), s = r (type III), s < r (empty
@@ -15,7 +25,6 @@ domain).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +37,24 @@ TYPE_III = "III"
 DOM_EMPTY = "dom_empty"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfinityGraph:
-    """Adjacency-list view of the infinite coefficient pattern, 1-based."""
+    """The infinite coefficient pattern as a read-only n x n boolean mask,
+    False on the diagonal; the accessors are 1-based."""
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.mask.flags.writeable = False
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency lists, ascending; built on demand, not by the decision."""
+        return tuple(tuple((np.flatnonzero(row) + 1).tolist()) for row in self.mask)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i - 1]
+        return bool(self.mask[i - 1, j - 1])
 
 
 @dataclass(frozen=True)
@@ -59,73 +77,41 @@ class ComponentDecomposition:
 
 def build_infinity_graph(instance: QuadraticInstance) -> InfinityGraph:
     """Graph on [n] with an edge wherever the pair coefficient is +inf."""
-    mask = np.isinf(instance.quad)  # NaN diagonal maps to False
-    idx = np.arange(1, instance.n + 1)
-    neighbors = tuple(tuple(idx[row].tolist()) for row in mask)
-    return InfinityGraph(instance.n, neighbors)
-
-
-def connected_components(n: int, neighbors) -> list[list[int]]:
-    """Connected components by BFS, 1-based, ordered by smallest member."""
-    seen = [False] * (n + 1)
-    out: list[list[int]] = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in neighbors[v - 1]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+    return InfinityGraph(instance.n, np.isinf(instance.quad))  # NaN diagonal maps to False
 
 
 def decompose_components(graph: InfinityGraph) -> ComponentDecomposition:
-    comps = connected_components(graph.n, graph.neighbors)
-    big = tuple(tuple(c) for c in comps if len(c) >= 2)
-    isolated = tuple(c[0] for c in comps if len(c) == 1)
-    return ComponentDecomposition(tuple(tuple(c) for c in comps), big, isolated)
+    """Isolated indices in one step, each other component by frontier passes."""
+    mask = graph.mask
+    isolated = ~mask.any(axis=1)
+    seen = isolated.copy()
+    big = []
+    for start in np.flatnonzero(~isolated).tolist():
+        if seen[start]:
+            continue
+        frontier = mask[start]
+        comp = frontier.copy()
+        comp[start] = True
+        while frontier.any():
+            frontier = mask[frontier].any(axis=0) > comp  # reached, not yet in comp
+            comp |= frontier
+        seen |= comp
+        big.append(tuple((np.flatnonzero(comp) + 1).tolist()))
+    singles = (np.flatnonzero(isolated) + 1).tolist()
+    # disjoint components, so ordering the tuples orders them by first member
+    components = sorted(big + [(v,) for v in singles])
+    return ComponentDecomposition(tuple(components), tuple(big), tuple(singles))
 
 
-def _clique_gap_witness(graph: InfinityGraph, component: tuple[int, ...]) -> Witness:
-    # Find a non-edge (u, w) inside the component, walk the BFS path from u
-    # to w, and stop at the first path vertex not adjacent to u.  That gives
-    # i=u, j=previous vertex, k=current one with {i,j}, {j,k} edges and
-    # {i,k} a non-edge.
-    members = set(component)
-    adj = {v: set(graph.neighbors[v - 1]) for v in component}
-    non_edge = None
-    for u in component:
-        for w in component:
-            if w > u and w not in adj[u]:
-                non_edge = (u, w)
-                break
-        if non_edge:
-            break
-    assert non_edge is not None
-    u, w = non_edge
-    parent = {u: None}
-    queue = deque([u])
-    while w not in parent:
-        v = queue.popleft()
-        for x in sorted(adj[v] & members):
-            if x not in parent:
-                parent[x] = v
-                queue.append(x)
-    path = [w]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
-    for idx in range(2, len(path)):
-        if path[idx] not in adj[u]:
-            return Witness(DOMAIN_VIOLATION, indices=(u, path[idx - 1], path[idx]))
-    raise AssertionError("path endpoint should be non-adjacent")
+def _clique_gap_witness(mask: np.ndarray, u: int) -> Witness:
+    # u (0-based) misses a member of its component, so some index is two
+    # steps away: {u,j} and {j,k} are edges and {u,k} is not.
+    near = mask[u]
+    two_steps = mask[near].any(axis=0) & ~near
+    two_steps[u] = False
+    k = int(two_steps.argmax())
+    j = int((near & mask[k]).argmax())
+    return Witness(DOMAIN_VIOLATION, indices=(u + 1, j + 1, k + 1))
 
 
 def check_condition_b(
@@ -136,12 +122,17 @@ def check_condition_b(
     The witness (i, j, k) has {i,j} and {j,k} infinite but {i,k} finite,
     and re-verifies against the instance directly.
     """
-    for comp in decomposition.big:
-        k = len(comp)
-        degree_sum = sum(len(graph.neighbors[v - 1]) for v in comp)
-        if degree_sum != k * (k - 1):
-            return False, _clique_gap_witness(graph, comp)
-    return True, None
+    sizes = [len(c) for c in decomposition.big]
+    # the mask holds each edge twice and a component of k indices has at
+    # most k(k-1)/2 edges, so the count reaches the sum of k(k-1) only
+    # when every component is a clique
+    if np.count_nonzero(graph.mask) == sum(k * (k - 1) for k in sizes):
+        return True, None
+    # each index's +inf count against its component's size, members in
+    # component order and each component ascending
+    members = np.concatenate(decomposition.big) - 1
+    short = np.count_nonzero(graph.mask[members], axis=1) < np.repeat(sizes, sizes) - 1
+    return False, _clique_gap_witness(graph.mask, int(members[short.argmax()]))
 
 
 def classify(decomposition: ComponentDecomposition, r: int) -> str:

@@ -4,9 +4,12 @@ The scans check the full quantifier ranges directly, with numpy
 broadcasting or, to name the first violating quadruple, plain loops, and
 share no code with the quadratic-time deciders they check.  Every
 comparison allows the documented absolute slack, eps times the instance's
-scale, which ``_slack`` computes from the coefficients.  The document
-parser and serializer at the end are the entry-by-entry versions
-that the array passes in ``qmconvex.core`` replaced.
+scale, which ``_slack`` computes from the coefficients.  The breadth-first
+component search and path-walk witness for condition B are the
+adjacency-list versions that the mask passes in ``qmconvex.structure``
+replaced.  The document parser and serializer at the end are the
+entry-by-entry versions that the array passes in ``qmconvex.core``
+replaced.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 
 import numpy as np
 
 from qmconvex import (
+    DOMAIN_VIOLATION,
     BudgetExceededError,
     InstanceFormatError,
     QuadraticInstance,
+    Witness,
     enumerate_domain,
 )
 
@@ -183,6 +189,70 @@ def condition_a_by_enumeration(inst: QuadraticInstance) -> bool | None:
     for support in domain.supports:
         touched.update(support)
     return bool(domain.supports) and len(touched) == inst.n
+
+
+def connected_components(n: int, neighbors) -> list[list[int]]:
+    """Connected components by BFS over 1-based adjacency lists, ordered
+    by smallest member, members ascending."""
+    seen = [False] * (n + 1)
+    out: list[list[int]] = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in neighbors[v - 1]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def clique_gap_witness(neighbors, component) -> Witness:
+    """The first non-edge (u, w) of the component, u ascending then w, and
+    the first vertex on the BFS path from u to w that is not adjacent to
+    u, with its predecessor on the path: (u, predecessor, vertex)."""
+    members = set(component)
+    adj = {v: set(neighbors[v - 1]) for v in component}
+    u, w = next(
+        (u, w) for u in component for w in component if w > u and w not in adj[u]
+    )
+    parent = {u: None}
+    queue = deque([u])
+    while w not in parent:
+        v = queue.popleft()
+        for x in sorted(adj[v] & members):
+            if x not in parent:
+                parent[x] = v
+                queue.append(x)
+    path = [w]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    path.reverse()
+    for idx in range(2, len(path)):
+        if path[idx] not in adj[u]:
+            return Witness(DOMAIN_VIOLATION, indices=(u, path[idx - 1], path[idx]))
+    raise AssertionError("path endpoint should be non-adjacent")
+
+
+def condition_b(inst: QuadraticInstance):
+    """(components, B holds, witness or None) from adjacency lists of the
+    +inf pattern: every component must have as many adjacency entries as
+    a clique of its size, else the first one that does not names the
+    witness."""
+    idx = np.arange(1, inst.n + 1)
+    neighbors = [idx[row].tolist() for row in np.isinf(inst.quad)]
+    comps = connected_components(inst.n, neighbors)
+    for comp in comps:
+        k = len(comp)
+        if sum(len(neighbors[v - 1]) for v in comp) != k * (k - 1):
+            return comps, False, clique_gap_witness(neighbors, comp)
+    return comps, True, None
 
 
 def _coefficient(value, *, allow_inf: bool = True) -> float:

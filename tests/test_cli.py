@@ -244,11 +244,23 @@ def test_config_validation(capsys, golden_yes_path):
         (["gen", "--kind", "linear3", "--n", "8", "--r", "2", "--sizes", "3,3"],
          "qmconvex gen: --sizes 3,3 must be 2 components summing to --n 8"
          " for --kind linear3 with --r 2"),
+        # an option that the kind does not take is refused, not dropped
+        (["gen", "--kind", "fgraph", "--graph", "g.txt", "--n", "40", "--r", "2"],
+         "qmconvex gen: --kind fgraph does not take --n"),
+        (["gen", "--kind", "tree", "--n", "8", "--r", "3", "--sizes", "3,3"],
+         "qmconvex gen: --kind tree does not take --sizes"),
+        (["gen", "--kind", "perturbed", "--sizes", "4,4"],
+         "qmconvex gen: --kind perturbed does not take --sizes"),
+        (["gen", "--kind", "fgraph", "--graph", "g.txt", "--sizes", "3"],
+         "qmconvex gen: --kind fgraph does not take --sizes"),
+        (["gen", "--kind", "linear2", "--graph", "g.txt"],
+         "qmconvex gen: --kind linear2 does not take --graph"),
     ],
     ids=["budget-abc", "epsilon-minus-inf", "unknown-flag", "unknown-command", "no-command",
          "gen-sizes", "bench-sizes", "budget-zero", "repeats-zero", "gen-tree-small-n",
          "gen-zero-size", "gen-r-zero", "bench-small-n", "gen-n-below-count",
-         "gen-sizes-count", "gen-sizes-sum"],
+         "gen-sizes-count", "gen-sizes-sum", "gen-fgraph-n", "gen-tree-sizes",
+         "gen-perturbed-sizes", "gen-fgraph-sizes", "gen-linear2-graph"],
 )
 def test_usage_errors_exit_3(capsys, argv, message):
     # argparse's own exit 2 would read as "undecided"

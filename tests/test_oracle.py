@@ -241,3 +241,25 @@ def test_quadruple_violated_uses_min_multiplicity():
     assert q.quadruple_violated(golden_no(), 1, 2, 3, 4)
     # all-equal sums: minimum attained three times, fine
     assert not q.quadruple_violated(all_zero(4, 2), 1, 2, 3, 4)
+
+
+def test_indices_outside_the_range_are_refused():
+    # +inf on {1,2}, {2,3} and {2,5}: index 0 must not wrap round to 5
+    inst = q.QuadraticInstance.from_entries(
+        5, 2, {(1, 2): q.INF, (2, 3): q.INF, (2, 5): q.INF}
+    )
+    for i, j in ((0, 2), (2, 0), (-1, 2), (6, 2), (2, 6)):
+        with pytest.raises(IndexError):
+            inst.pair(i, j)
+    for support in ({0, 1}, {-1, 3}, {1, 6}):
+        with pytest.raises(IndexError):
+            q.evaluate(inst, support)
+    assert q.verify_witness(inst, q.Witness(q.DOMAIN_VIOLATION, indices=(1, 2, 3)))
+    for indices in ((0, 2, 3), (-4, 2, 3), (1, 2, 6), (2, 2, 3), (1, 2, 1)):
+        assert not q.verify_witness(inst, q.Witness(q.DOMAIN_VIOLATION, indices=indices))
+    for indices in ((0, 1, 3, 4), (1, 1, 3, 4), (1, 3, 4, 6)):
+        assert not q.verify_witness(golden_no(), q.Witness(q.QUADRUPLE_VIOLATION, indices=indices))
+    w = q.exchange_axiom_holds(golden_no()).witness
+    for x, y in ((w.x + (0,), w.y), (w.x, (w.y[0],) + w.y), ((6,) + w.x[1:], w.y)):
+        bad = q.Witness(q.EXCHANGE_VIOLATION, x=x, y=y, i=w.i)
+        assert not q.verify_witness(golden_no(), bad)

@@ -6,7 +6,7 @@ import numpy as np
 
 import qmconvex as q
 from helpers import all_zero, golden_yes, random_ab_instance
-from reference import condition_a_by_enumeration
+from reference import condition_a_by_enumeration, condition_b
 
 
 def graph_from_edges(n, edges, r=2):
@@ -176,3 +176,110 @@ def test_components_invariant_under_relabel():
             tuple(sorted(perm[v - 1] for v in comp)) for comp in base.components
         )
         assert sorted(mapped.components) == expected
+
+
+def instance_from_mask(mask, r=1):
+    """All-zero instance whose +inf pattern is the symmetric boolean mask."""
+    n = mask.shape[0]
+    quad = np.where(mask, q.INF, 0.0)
+    np.fill_diagonal(quad, np.nan)
+    return q.QuadraticInstance(n, r, np.zeros(n), quad)
+
+
+def random_pattern(rng):
+    """A sparse random graph or a union of cliques (each maybe with one
+    edge added or removed), relabelled half of the time."""
+    n = int(rng.integers(2, 15))
+    if rng.random() < 0.5:
+        mask = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.45), 1)
+    else:
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        mask = np.triu(labels[:, None] == labels[None, :], 1)
+        if rng.random() < 0.6:
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            mask[i, j] = not mask[i, j]
+    mask = mask | mask.T
+    if rng.random() < 0.5:
+        perm = rng.permutation(n)
+        mask = mask[np.ix_(perm, perm)]
+    return mask
+
+
+def test_condition_b_matches_reference_on_random_patterns():
+    rng = np.random.default_rng(23)
+    failures = same_witness = other_witness = 0
+    for _ in range(3000):
+        mask = random_pattern(rng)
+        inst = instance_from_mask(mask)
+        comps, b_ref, w_ref = condition_b(inst)
+        g = q.build_infinity_graph(inst)
+        d = q.decompose_components(g)
+        assert d.components == tuple(map(tuple, comps))
+        assert d.big == tuple(tuple(c) for c in comps if len(c) > 1)
+        assert d.isolated == tuple(c[0] for c in comps if len(c) == 1)
+        ok, witness = q.check_condition_b(g, d)
+        assert ok == b_ref
+        if ok:
+            assert witness is None
+            continue
+        failures += 1
+        assert q.verify_witness(inst, witness)
+        u = witness.indices[0]
+        assert u == w_ref.indices[0]
+        # the reference walks to u's smallest non-neighbour in its component;
+        # when that index is two steps away both name the same triple
+        comp = next(c for c in comps if u in c)
+        w = next(v for v in comp if v != u and not mask[u - 1, v - 1])
+        if (mask[u - 1] & mask[w - 1]).any():
+            assert witness == w_ref
+            same_witness += 1
+        else:
+            other_witness += 1
+    assert failures > 500 and same_witness > 300 and other_witness > 10
+
+
+def test_long_path_is_one_component():
+    n = 1500
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.arange(n - 1), np.arange(1, n)] = True
+    inst = instance_from_mask(mask | mask.T)
+    g = q.build_infinity_graph(inst)
+    d = q.decompose_components(g)
+    assert d.big == (tuple(range(1, n + 1)),) and d.isolated == ()
+    ok, witness = q.check_condition_b(g, d)
+    assert not ok and witness.indices == (1, 2, 3)
+    assert q.verify_witness(inst, witness)
+
+
+def test_many_relabelled_cliques():
+    rng = np.random.default_rng(29)
+    n = 1600
+    perm = rng.permutation(n)
+    labels = (np.arange(n) // 8)[perm]  # 200 cliques of 8, members scattered
+    mask = labels[:, None] == labels[None, :]
+    np.fill_diagonal(mask, False)
+    inst = instance_from_mask(mask, r=200)
+    g = q.build_infinity_graph(inst)
+    d = q.decompose_components(g)
+    comps, _, _ = condition_b(inst)
+    assert d.components == tuple(map(tuple, comps))
+    assert d.m == 200 and d.isolated == ()
+    assert all(len(c) == 8 for c in d.big)
+    assert q.check_condition_b(g, d) == (True, None)
+    assert q.classify(d, 200) == q.TYPE_III
+
+
+def test_half_clique_plus_isolated():
+    rng = np.random.default_rng(31)
+    n = 1000
+    members = np.sort(rng.choice(n, size=n // 2, replace=False))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(members, members)] = True
+    np.fill_diagonal(mask, False)
+    inst = instance_from_mask(mask, r=n // 2)
+    g = q.build_infinity_graph(inst)
+    d = q.decompose_components(g)
+    assert d.big == (tuple((members + 1).tolist()),)
+    assert d.isolated == tuple(sorted(set(range(1, n + 1)) - set(d.big[0])))
+    assert q.check_condition_b(g, d) == (True, None)
+    assert q.classify(d, n // 2) == q.TYPE_II
