@@ -69,7 +69,8 @@ def approx_eq_array(x, y, slack: float = DEFAULT_EPSILON) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and overflow
-        return (x == y) | (np.abs(x - y) <= slack)
+        diff = x - y
+        return (x == y) | (np.abs(diff, out=diff) <= slack)  # one float buffer
 
 
 def approx_le(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:

@@ -12,11 +12,13 @@ laminar plateau family (``decompose`` and ``reconstruct``) is kept as a
 certificate API; the decision does not use it.
 
 Type II and III instances reduce to additive rank-one structure on cross
-blocks.  One gather per big component takes its rows against all of its
-columns, and every cell is compared against the component's first row
-and its block's first column; the first failing cell is the witness, so
-explain mode costs the same O(n^2) as the decision.  Every comparison
-allows one absolute slack, ``QuadraticInstance.slack``.
+blocks.  The big components are laid end to end once.  Each one's rows
+are gathered against all of its columns by two contiguous ``take`` calls:
+the sorted complement for type II, the slice of that order after the
+component for type III.  Every cell is compared against the component's
+first row and its block's first column; the first failing cell is the
+witness, so explain mode costs the same O(n^2) as the decision.  Every
+comparison allows one absolute slack, ``QuadraticInstance.slack``.
 
 The pipeline short-circuits the degenerate slices r = 1 and r = n-1,
 rejects on a failed condition B when condition A is assumed, falls back
@@ -305,36 +307,47 @@ def _cross_violation(
     """First quadruple (1-based) that breaks a_ij + a_kl = a_il + a_kj on
     the type's cross blocks, or None when every block is additive.
 
-    One gather per big component: its rows against the sorted complement
-    (type II), or against the later big components side by side, one block
-    each (type III).  Every cell (k, l) is compared against the component's
-    first row and the first column of l's block, which checks every 2x2 of
-    the block without letting the slack add up across it.  The answer is
-    the first failing block's first failing cell in row-major order, the
-    quadruple that a block-by-block scan of the quantifier range meets
-    first.  Cross pairs are finite under condition B; an infinite one means
-    the decomposition does not fit the instance.
+    The big components are laid end to end once, in one order array.  Each
+    component's rows are gathered against its columns with two contiguous
+    ``take`` calls, rows first: the sorted complement for type II, and for
+    type III the slice of the order after the component, which holds the
+    later big components side by side, one block each.  Every cell (k, l)
+    is compared against the component's first row and the first column of
+    l's block, which checks every 2x2 of the block without letting the
+    slack add up across it.  The answer is the first failing block's first
+    failing cell in row-major order, the quadruple that a block-by-block
+    scan of the quantifier range meets first.  Cross pairs are finite under
+    condition B; an infinite one means the decomposition does not fit the
+    instance.
     """
     big = [np.asarray(c, dtype=np.intp) - 1 for c in decomposition.big]
     sizes = np.array([c.size for c in big], dtype=np.intp)
+    order = np.concatenate(big)
     ends = np.cumsum(sizes)
+    first = np.repeat(ends - sizes, sizes)  # block start of each position
+    # corner[l] and lead[k, l] are the first row's and row k's cells in the
+    # first column of l's block
     for a, rows in enumerate(big):
         if type_label == TYPE_II:
             cols = np.setdiff1d(np.arange(instance.n), rows, assume_unique=True)
-            anchor = np.zeros(1, dtype=np.intp)
-        else:  # rows[:0] keeps the concatenation valid after the last component
-            cols = np.concatenate([rows[:0], *big[a + 1:]])
-            anchor = np.repeat(ends[a:-1] - ends[a], sizes[a + 1:])
-        # rows[:, None] indexes like np.ix_ at a fraction of its per-call cost
-        block = instance.quad[rows[:, None], cols]
+            block = instance.quad.take(rows, axis=0).take(cols, axis=1)
+            corner, lead = block[0, :1], block[1:, :1]  # one block; slices gather nothing
+        else:
+            cols = order[ends[a]:]
+            anchor = first[ends[a]:] - ends[a]  # l's block start within cols
+            block = instance.quad.take(rows, axis=0).take(cols, axis=1)
+            corner, lead = block[0].take(anchor), block[1:].take(anchor, axis=1)
         if np.isinf(block).any():
             raise InternalInconsistencyError("infinite coefficient in a cross block")
-        ok = approx_eq_array(block[1:] + block[0, anchor], block[1:, anchor] + block[0], slack)
+        ok = approx_eq_array(block[1:] + corner, lead + block[0], slack)
         if ok.all():
             continue
-        starts = np.broadcast_to(anchor, cols.shape)
-        start = starts[ok.all(axis=0).argmin()]  # the block of the first failing column
-        k, l = np.unravel_index((~ok & (starts == start)).argmax(), ok.shape)
+        bad = ~ok
+        start = 0
+        if type_label != TYPE_II:  # keep the block of the first failing column
+            start = anchor[bad.any(axis=0).argmax()]
+            bad &= anchor == start
+        k, l = np.unravel_index(bad.argmax(), bad.shape)
         return tuple(int(v) + 1 for v in (rows[0], cols[start], rows[k + 1], cols[l]))
     return None
 

@@ -54,6 +54,9 @@ class InfinityGraph:
         return tuple(tuple((np.flatnonzero(row) + 1).tolist()) for row in self.mask)
 
     def has_edge(self, i: int, j: int) -> bool:
+        """Whether the pair {i, j} is infinite; IndexError outside 1..n."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"({i}, {j}) is not a pair of indices in 1..{self.n}")
         return bool(self.mask[i - 1, j - 1])
 
 

@@ -405,6 +405,18 @@ def test_typed_deciders_flag_infinite_cross_entries():
     fake3 = q.ComponentDecomposition(((1, 2), (4, 5), (3,)), ((1, 2), (4, 5)), (3,))
     with pytest.raises(q.InternalInconsistencyError):
         q.test_type3(inst, fake3)
+    # index 3, the first member of the later component, is +inf against
+    # every row of the earlier one: the whole anchor column is +inf, so the
+    # additive comparison passes (inf == inf) and only the +inf check flags it
+    column = q.QuadraticInstance.from_entries(
+        4, 2, {(1, 2): q.INF, (3, 4): q.INF, (1, 3): q.INF, (2, 3): q.INF, (1, 4): 2.0}
+    )
+    block = column.quad[np.ix_([0, 1], [2, 3])]
+    anchor = np.zeros(2, dtype=np.intp)
+    assert q.core.approx_eq_array(block[1:] + block[0, anchor], block[1:, anchor] + block[0]).all()
+    fake_column = q.ComponentDecomposition(((1, 2), (3, 4)), ((1, 2), (3, 4)), ())
+    with pytest.raises(q.InternalInconsistencyError):
+        q.test_type3(column, fake_column)
 
 
 def test_smallest_instances_short_circuit():
@@ -697,6 +709,64 @@ def test_cross_witness_matches_block_scan():
             assert verdict.witness.indices == found
             assert q.verify_witness(inst, verdict.witness)
     assert rejected > 100 and two_block == 50
+
+
+def _scattered_cross_instance(rng, label, sizes) -> q.QuadraticInstance:
+    r = len(sizes) - 1 if label == q.TYPE_II else len(sizes)
+    inst = q.gen_linear_typed(sizes, r, int(rng.integers(1e6)))
+    return q.relabel(inst, [int(v) + 1 for v in rng.permutation(inst.n)])
+
+
+def _bump_between(inst, rng, rows, cols) -> q.QuadraticInstance:
+    pair = (int(rng.choice(rows)), int(rng.choice(cols)))
+    return q.perturb(inst, pair, float(rng.choice((-2.0, -1.0, 1.0, 2.0))))
+
+
+def _assert_cross_witness(inst, label):
+    decomp = q.decompose_components(q.build_infinity_graph(inst))
+    assert q.classify(decomp, inst.r) == label
+    found = q.find_violation_quadruple(inst, decomp, label)
+    assert found is not None
+    assert found == first_cross_quadruple(inst, decomp.big, label)
+    verdict = q.test_mconvexity(inst, explain=True)
+    assert verdict.status == q.NOT_M_CONVEX and verdict.witness.indices == found
+    assert q.verify_witness(inst, verdict.witness)
+    return found
+
+
+def test_type3_scattered_mixed_components_match_block_scan():
+    # about 30 relabelled cliques of 2 to 9 members: each component's
+    # columns are a slice of one component order, which must name the same
+    # columns, in the same blocks, as the later components laid side by side
+    rng = np.random.default_rng(53)
+    for _ in range(4):
+        sizes = [int(v) for v in rng.integers(2, 10, size=30)]
+        base = _scattered_cross_instance(rng, q.TYPE_III, sizes)
+        big = q.decompose_components(q.build_infinity_graph(base)).big
+        assert sorted(map(len, big)) == sorted(sizes)
+        middle = len(big) // 2
+        last = _bump_between(base, rng, big[-2], big[-1])
+        found = _assert_cross_witness(last, q.TYPE_III)
+        assert found[0] == big[-2][0] and found[1] == big[-1][0]
+        both = _bump_between(last, rng, big[middle], big[int(rng.integers(middle + 1, len(big)))])
+        found = _assert_cross_witness(both, q.TYPE_III)
+        assert found[0] == big[middle][0]
+
+
+def test_type2_two_components_and_isolated_match_block_scan():
+    rng = np.random.default_rng(59)
+    for _ in range(6):
+        sizes = [int(v) for v in rng.integers(2, 10, size=2)] + [1] * int(rng.integers(3, 12))
+        base = _scattered_cross_instance(rng, q.TYPE_II, sizes)
+        decomp = q.decompose_components(q.build_infinity_graph(base))
+        assert len(decomp.big) == 2
+        first, second = decomp.big
+        # only the second component's block fails
+        found = _assert_cross_witness(_bump_between(base, rng, second, decomp.isolated), q.TYPE_II)
+        assert found[0] == second[0]
+        # a pair across the two components lies in both blocks; the first wins
+        found = _assert_cross_witness(_bump_between(base, rng, first, second), q.TYPE_II)
+        assert found[0] == first[0]
 
 
 def test_type3_explain_finds_violation_in_last_block():

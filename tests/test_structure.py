@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 import qmconvex as q
 from helpers import all_zero, golden_yes, random_ab_instance
@@ -19,6 +20,15 @@ def test_golden_yes_graph_single_edge():
     g = q.build_infinity_graph(golden_yes())
     assert g.neighbors == ((5,), (), (), (), (1,))
     assert g.has_edge(1, 5) and not g.has_edge(1, 3)
+
+
+def test_has_edge_refuses_indices_outside_the_range():
+    # numpy would wrap 0 and -1 to the last rows; (0, 2) reads the entry for (5, 2)
+    g = graph_from_edges(5, [(1, 2), (2, 3), (2, 5)])
+    assert g.has_edge(5, 2) and g.has_edge(2, 1) and not g.has_edge(1, 3)
+    for i, j in ((0, 2), (2, 0), (-1, 2), (2, -1), (6, 2), (2, 6)):
+        with pytest.raises(IndexError):
+            g.has_edge(i, j)
 
 
 def test_all_finite_graph_is_edgeless():
