@@ -1,15 +1,18 @@
 """Quadratic-time deciders and the top-level testing pipeline.
 
-Type I instances are normalized (global minimum subtracted via per-index
-offsets) and accepted iff the reduced matrix satisfies the reversed
-ultrametric inequality a_ij >= min(a_ik, a_jk).  That holds iff every
-entry equals the bottleneck between its endpoints in a maximum spanning
-tree (the subdominant ultrametric of Gower & Ross 1969, read with the
-order reversed; Hirai & Murota 2004 give the tree-metric view of
-M-convex quadratics), which one Prim pass over the rows checks in O(n^2)
-against the tree's edge weights without building any matrix.  The
-laminar plateau family (``decompose`` and ``reconstruct``) is kept as a
-certificate API; the decision does not use it.
+Type I rests on one rule: in an order that keeps every cluster
+contiguous, the value between positions p < q is the minimum of the gap
+values between them.  Per-index offsets strip each row's surplus over the
+global minimum; the instance is accepted iff the reduced matrix satisfies
+the reversed ultrametric inequality a_ij >= min(a_ik, a_jk), that is iff
+every entry equals the bottleneck between its endpoints in a maximum
+spanning tree (Gower & Ross 1969; Hirai & Murota 2004).  One Prim pass
+checks that in O(n^2): its visit order is the layout, its join weights
+are the gaps, and it reduces each row as it visits it, so it builds no
+matrix.  The laminar plateau family (``decompose``, ``reconstruct``) is
+kept as a certificate API; ``reconstruct`` reads it back by the same
+rule, from its depth-first layout with each plateau's value as the gaps
+inside it.
 
 Type II and III instances reduce to additive rank-one structure on cross
 blocks.  The big components are laid end to end once.  Each one's rows
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,19 +64,25 @@ DEFAULT_BRUTE_FORCE_BUDGET = 20_000
 
 @dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
-    """Coefficients after stripping per-index offsets.
+    """Pair coefficients and the per-index offsets that strip them.
 
     global_min is the smallest pair coefficient overall; row_offsets[i] is
-    the surplus of row i's minimum over global_min; reduced subtracts both
-    endpoint offsets from every pair (infinite entries stay infinite).  On
-    instances that pass the type-I test, every row of ``reduced`` attains
-    global_min.
+    the surplus of row i's minimum over global_min; matrix holds the
+    coefficients as given.  ``reduced`` subtracts both endpoint offsets
+    from every pair (infinite entries stay infinite); it is built on first
+    read, and the type I decision never reads it.  On instances that pass
+    the type-I test, every row of ``reduced`` attains global_min.
     """
 
     n: int
     global_min: float
     row_offsets: np.ndarray
-    reduced: np.ndarray
+    matrix: np.ndarray
+
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        off = self.row_offsets
+        return self.matrix - off[:, None] - off[None, :]
 
 
 @dataclass(eq=False)
@@ -93,54 +103,52 @@ class LaminarFamily:
     """Nested plateau sets certifying the reversed ultrametric inequality.
 
     The root covers all of [n]; strictly deeper sets carry strictly larger
-    values (possibly +inf).
+    values (possibly +inf).  Listing each node's direct members and then
+    its children's, depth first, lays every plateau out as one contiguous
+    range of positions; ``sets`` and ``reconstruct`` both read that layout.
     """
 
     n: int
     root: LaminarNode
 
+    def _layout(self) -> tuple[list[int], list[tuple[LaminarNode, int, int]]]:
+        """Members in depth-first order, and every node in preorder with
+        the range [start, end) of the positions its subtree holds."""
+        order: list[int] = []
+        ranges: list[tuple[LaminarNode, int, int]] = []
+        # iterative, so deep chains do not recurse; a node comes back with
+        # its slot in ranges once its subtree is laid out
+        todo: list[tuple[LaminarNode, int | None]] = [(self.root, None)]
+        while todo:
+            node, slot = todo.pop()
+            if slot is not None:
+                ranges[slot] = (node, ranges[slot][1], len(order))
+                continue
+            todo.append((node, len(ranges)))
+            ranges.append((node, len(order), len(order)))
+            order.extend(node.direct)
+            todo.extend((child, None) for child in reversed(node.children))
+        return order, ranges
+
     def sets(self) -> list[tuple[frozenset, float]]:
         """All (member set, value) pairs, 1-based, in preorder."""
-        out: list[tuple[frozenset, float]] = []
-        # iterative post-order accumulation; deep chains must not recurse
-        stack: list[tuple[LaminarNode, int, set, int]] = [
-            (self.root, 0, {i + 1 for i in self.root.direct}, 0)
-        ]
-        out.append((frozenset(), self.root.value))
-        while stack:
-            node, child_idx, members, pos = stack[-1]
-            if child_idx < len(node.children):
-                child = node.children[child_idx]
-                stack[-1] = (node, child_idx + 1, members, pos)
-                child_members = {i + 1 for i in child.direct}
-                out.append((frozenset(), child.value))
-                stack.append((child, 0, child_members, len(out) - 1))
-                continue
-            stack.pop()
-            out[pos] = (frozenset(members), node.value)
-            if stack:
-                stack[-1][2].update(members)
-        return out
+        order, ranges = self._layout()
+        return [(frozenset(i + 1 for i in order[s:e]), node.value) for node, s, e in ranges]
 
 
 def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
-    """Strip per-index offsets so plateau structure becomes visible.
+    """Per-index offsets that make plateau structure visible, in one pass
+    over the coefficients; the reduced matrix is left unbuilt.
 
     Requires every row to contain a finite entry, which classification as
     type I guarantees (at least two components exist).
     """
-    n = instance.n
-    quad = instance.quad
-    # the NaN diagonal drops out of the nan-aware reductions
-    global_min = float(np.nanmin(quad))
-    if math.isinf(global_min):
-        raise InternalInconsistencyError("all pair coefficients are infinite")
-    row_min = np.nanmin(quad, axis=1)
+    # the NaN diagonal drops out of the nan-aware reduction
+    row_min = np.nanmin(instance.quad, axis=1)
     if np.isinf(row_min).any():
         raise InternalInconsistencyError("a row contains no finite coefficient")
-    offsets = row_min - global_min
-    reduced = quad - offsets[:, None] - offsets[None, :]
-    return NormalizedMatrix(n, global_min, offsets, reduced)
+    global_min = float(row_min.min())
+    return NormalizedMatrix(instance.n, global_min, row_min - global_min, instance.quad)
 
 
 def decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
@@ -194,46 +202,30 @@ def reconstruct(family: LaminarFamily, n: int) -> np.ndarray:
     """Matrix implied by the family: each pair gets the value of the
     smallest plateau containing both indices.
 
-    Walks the tree once, assigning every unordered pair exactly once:
-    pairs among a node's direct members at the node's value, and pairs
-    between a finished child subtree and the part of the node processed
-    before it, again at the node's value.  O(n^2) total.
+    Each plateau, in preorder, writes its value over gap[start+1:end] of
+    the family's layout, so gap[p] ends as the value of the smallest
+    plateau holding positions p-1 and p.  Values grow with depth, so the
+    pair at positions p < q gets min(gap[p+1..q]), a running minimum as in
+    the Prim pass.  O(n^2) total.  Raises InternalInconsistencyError
+    unless the layout holds 0..n-1 once each and every plateau of two or
+    more members lies above its parent.
     """
+    order, ranges = family._layout()
+    order = np.asarray(order, dtype=np.intp)
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise InternalInconsistencyError("laminar family does not lay out 0..n-1 once each")
+    gap = np.full(n, -math.inf)
+    for node, start, end in ranges:
+        # gap[start+1] still holds the value of the enclosing plateau
+        if end - start > 1 and not node.value > gap[start + 1]:
+            raise InternalInconsistencyError("a plateau's value is not above its parent's")
+        gap[start + 1:end] = node.value
     out = np.full((n, n), np.nan)
-
-    class Frame:
-        __slots__ = ("node", "next_child", "seen")
-
-        def __init__(self, node: LaminarNode) -> None:
-            self.node = node
-            self.next_child = 0
-            self.seen = np.asarray(node.direct, dtype=np.intp)
-            if self.seen.size:
-                out[np.ix_(self.seen, self.seen)] = node.value
-
-    stack = [Frame(family.root)]
-    covered = None
-    while stack:
-        frame = stack[-1]
-        if frame.next_child < len(frame.node.children):
-            child = frame.node.children[frame.next_child]
-            frame.next_child += 1
-            stack.append(Frame(child))
-            continue
-        stack.pop()
-        if stack:
-            parent = stack[-1]
-            if frame.seen.size and parent.seen.size:
-                out[np.ix_(frame.seen, parent.seen)] = parent.node.value
-                out[np.ix_(parent.seen, frame.seen)] = parent.node.value
-            parent.seen = np.concatenate([parent.seen, frame.seen])
-        else:
-            covered = frame.seen
-    if covered is None or covered.size != n:
-        raise InternalInconsistencyError("laminar family does not cover the ground set")
-    np.fill_diagonal(out, np.nan)
-    if np.isnan(out[~np.eye(n, dtype=bool)]).any():
-        raise InternalInconsistencyError("reconstruction left unassigned pairs")
+    bottleneck = np.full(n, math.inf)  # min(gap[p+1..k]) for positions p < k
+    for k in range(1, n):
+        np.minimum(bottleneck[:k], gap[k], out=bottleneck[:k])
+        out[order[k], order[:k]] = bottleneck[:k]
+        out[order[:k], order[k]] = bottleneck[:k]
     return out
 
 
@@ -253,21 +245,21 @@ def check_anti_ultrametric(
     against entries that were themselves only accepted within the slack;
     the pass stops at the first row that differs by more than ``slack``.
     """
-    reduced = normalized.reduced
+    matrix, off = normalized.matrix, normalized.row_offsets
     n = normalized.n
     order = np.zeros(n, dtype=np.intp)  # order[:k] is the tree so far
-    best = reduced[0].copy()  # heaviest edge from each index into the tree
+    best = matrix[0] - off[0] - off  # heaviest edge from each index into the tree
     best[0] = -math.inf
     # bottleneck[i] = min(w[i+1..k]) from the visit-order position i to the
     # newest tree index; entries not yet reached stay +inf
     bottleneck = np.full(n, math.inf)
     for k in range(1, n):
         v = int(np.argmax(best))
+        row = matrix[v] - off[v] - off  # reduced[v] to the bit, never built whole
         np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
-        if not approx_eq_array(reduced[v, order[:k]], bottleneck[:k], slack).all():
+        if not approx_eq_array(row[order[:k]], bottleneck[:k], slack).all():
             return False
         order[k] = v
-        row = reduced[v]
         closer = row > best  # false at v itself, where the row holds NaN
         closer[order[:k]] = False
         best[closer] = row[closer]
@@ -293,8 +285,7 @@ def _typed_verdict(
 
 def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
     """Type I: normalize, then decide the reversed ultrametric inequality."""
-    slack = instance.slack(eps)  # first, so its n x n mask is freed before normalizing
-    ok = check_anti_ultrametric(normalize_type1(instance), slack)
+    ok = check_anti_ultrametric(normalize_type1(instance), instance.slack(eps))
     return _typed_verdict(ok, TYPE_I, eps)
 
 

@@ -2,6 +2,7 @@
 tests, the pipeline, and witness extraction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_reconstruct_hand_built_families():
     inner_b = q.LaminarNode(3.0, direct=[2, 3])
     root = q.LaminarNode(1.0, direct=[], children=[inner_b, inner_a])
     out = q.reconstruct(q.LaminarFamily(4, root), 4)
+    assert q.LaminarFamily(4, root).sets() == [  # preorder, children in order
+        (frozenset({1, 2, 3, 4}), 1.0), (frozenset({3, 4}), 3.0), (frozenset({1, 2}), 5.0)
+    ]
     expected = np.full((4, 4), 1.0)
     expected[0, 1] = expected[1, 0] = 5.0
     expected[2, 3] = expected[3, 2] = 3.0
@@ -139,6 +143,28 @@ def test_reconstruct_hand_built_families():
     expected[0, 1] = expected[1, 0] = np.inf
     np.fill_diagonal(expected, np.nan)
     assert np.array_equal(out, expected, equal_nan=True)
+
+    # plateau k holds k..n-1 at value k, 1500 deep: no recursion, and the
+    # pair (i, j) gets the value of plateau min(i, j)
+    n = 1501
+    node = q.LaminarNode(float(n - 2), direct=[n - 2, n - 1])
+    for k in range(n - 3, -1, -1):
+        node = q.LaminarNode(float(k), direct=[k], children=[node])
+    out = q.reconstruct(q.LaminarFamily(n, node), n)
+    expected = np.minimum.outer(np.arange(n), np.arange(n)).astype(float)
+    np.fill_diagonal(expected, np.nan)
+    assert np.array_equal(out, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("root", [
+    q.LaminarNode(0.0, direct=[0, 1, 2]),  # misses index 3
+    q.LaminarNode(0.0, direct=[0, 1, 2], children=[q.LaminarNode(1.0, direct=[2, 3])]),
+    q.LaminarNode(1.0, direct=[2, 3], children=[q.LaminarNode(1.0, direct=[0, 1])]),
+    q.LaminarNode(1.0, direct=[2, 3], children=[q.LaminarNode(0.5, direct=[0, 1])]),
+], ids=["missing", "repeated", "tied-child", "lower-child"])
+def test_reconstruct_refuses_broken_families(root):
+    with pytest.raises(q.InternalInconsistencyError):
+        q.reconstruct(q.LaminarFamily(4, root), 4)
 
 
 def test_golden_no_laminar_family():
@@ -221,6 +247,23 @@ def test_check_anti_ultrametric_matches_triple_scan():
         accepted += got
         rejected += not got
     assert accepted > 30 and rejected > 30
+    # normalized instances carry offsets, which the pass strips row by row
+    accepted = rejected = 0
+    for trial in range(80):
+        n = int(rng.integers(4, 12))
+        inst = q.gen_tree_metric_type1(n, 2, int(rng.integers(1 << 30)))
+        inst = q.apply_potential(inst, rng.integers(-4, 5, size=n).astype(float))
+        for _ in range(trial % 3):
+            i, j = rng.choice(n, size=2, replace=False) + 1
+            inst = q.perturb(inst, (int(i), int(j)), float(rng.choice((-2, -1, 1, 2))))
+        nm = q.normalize_type1(inst)
+        assert nm.row_offsets.any()
+        slack = inst.slack(1e-9)
+        got = q.check_anti_ultrametric(nm, slack)
+        assert got == anti_ultrametric_triples(nm.reduced, slack)
+        accepted += got
+        rejected += not got
+    assert accepted > 20 and rejected > 20
 
 
 def test_check_anti_ultrametric_slack_does_not_add_up():
@@ -270,6 +313,22 @@ def test_type1_generated_tree_instances():
         inst = q.gen_tree_metric_type1(8, 3, seed)
         assert q.test_mconvexity(inst).status == q.M_CONVEX
         assert q.local_exchange_holds(inst).status == q.M_CONVEX
+
+
+def test_type1_builds_no_square_matrix():
+    n = 800
+    yes = q.gen_tree_metric_type1(n, n // 4, 3)
+    no = q.perturb(yes, (n // 2, n - 1), 1.0)
+    for inst, want in ((yes, q.M_CONVEX), (no, q.NOT_M_CONVEX)):
+        inst.scale  # computed once per instance, with its own n x n mask
+        tracemalloc.start()
+        try:
+            verdict = q.test_type1(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == want
+        assert peak < n * n, peak
 
 
 def test_type2_golden_yes_accepted():
