@@ -3,16 +3,15 @@
 Type I rests on one rule: in an order that keeps every cluster
 contiguous, the value between positions p < q is the minimum of the gap
 values between them.  Per-index offsets strip each row's surplus over the
-global minimum; the instance is accepted iff the reduced matrix satisfies
-the reversed ultrametric inequality a_ij >= min(a_ik, a_jk), that is iff
-every entry equals the bottleneck between its endpoints in a maximum
-spanning tree (Gower & Ross 1969; Hirai & Murota 2004).  One Prim pass
-checks that in O(n^2): its visit order is the layout, its join weights
-are the gaps, and it reduces each row as it visits it, so it builds no
-matrix.  The laminar plateau family (``decompose``, ``reconstruct``) is
-kept as a certificate API; ``reconstruct`` reads it back by the same
-rule, from its depth-first layout with each plateau's value as the gaps
-inside it.
+global minimum.  One Prim pass over the reduced matrix, reduced a row at
+a time so that no matrix is built, lays the indices out in O(n^2): its
+visit order is the layout and its join weights are the gaps (Gower & Ross
+1969; Hirai & Murota 2004).  The instance is accepted iff each joining
+row lies within the slack of the exact bottleneck, the smallest gap
+between the two positions; within the slack that is not the reversed
+ultrametric inequality tested triple by triple.  The laminar plateau
+family (``decompose``) is the Cartesian tree of the same gaps, kept as a
+certificate API; ``reconstruct`` reads a family back by the same rule.
 
 Type II and III instances reduce to additive rank-one structure on cross
 blocks.  The big components are laid end to end once.  Each one's rows
@@ -70,8 +69,9 @@ class NormalizedMatrix:
     the surplus of row i's minimum over global_min; matrix holds the
     coefficients as given.  ``reduced`` subtracts both endpoint offsets
     from every pair (infinite entries stay infinite); it is built on first
-    read, and the type I decision never reads it.  On instances that pass
-    the type-I test, every row of ``reduced`` attains global_min.
+    read, which only tests do: the Prim pass reduces one row at a time.
+    On instances that pass the type-I test, every row of ``reduced``
+    attains global_min.
     """
 
     n: int
@@ -152,50 +152,35 @@ def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
 
 
 def decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
-    """Split [n] into nested plateaus by repeated pivot partitioning.
+    """Nested plateaus: the Cartesian tree of the Prim pass's gaps, O(n^2).
 
-    Each step takes the smallest index of the current set as pivot,
-    gathers the pivot-row minimum e and its argmin set X, records the
-    current set as a plateau when e strictly exceeds the inherited value
-    (ties merge), and recurses on X and its complement.  Recursion stops
-    on singletons and below +inf plateaus.  O(n^2) total.  ``slack`` is
-    the instance's absolute slack (the default suits a unit scale).
+    The pass runs with an infinite slack, so no row stops it.  One stack
+    walk over the positions builds the family: the root sits at
+    global_min; a gap more than ``slack`` (the instance's absolute slack)
+    above the open node opens a child holding positions p-1 and p (the
+    node just closed, if any, in place of p-1); a gap more than ``slack``
+    below it closes nodes; a gap within it merges.  Direct members are
+    listed in visit order.
     """
-    reduced = normalized.reduced
-    root = LaminarNode(value=normalized.global_min)
-    stack: list[tuple[np.ndarray, float, LaminarNode]] = [
-        (np.arange(normalized.n, dtype=np.intp), normalized.global_min, root)
-    ]
-    while stack:
-        members, inherited, parent = stack.pop()
-        if members.size <= 1 or math.isinf(inherited):
-            parent.direct.extend(int(v) for v in members)
+    order, gap, _ = _prim_pass(normalized, math.inf)
+    order, gap = order.tolist(), gap.tolist()
+    root = LaminarNode(value=normalized.global_min, direct=[order[0]])
+    stack = [root]  # the open nodes, root first, values strictly increasing
+    for g, v in zip(gap[1:], order[1:]):
+        closed = None
+        while len(stack) > 1 and approx_gt(stack[-1].value, g, slack):
+            closed = stack.pop()
+        top = stack[-1]
+        if not approx_gt(g, top.value, slack):
+            top.direct.append(v)
             continue
-        pivot = members[0]
-        rest = members[1:]
-        row = reduced[pivot, rest]
-        e = float(row.min())
-        mask = approx_eq_array(row, e, slack)
-        argmin = rest[mask]
-        complement = np.concatenate(([pivot], rest[~mask]))
-        node = parent
-        value = inherited
-        if approx_gt(e, inherited, slack):
-            node = LaminarNode(value=e)
-            parent.children.append(node)
-            value = e
-        stack.append((complement, value, node))
-        stack.append((argmin, value, node))
-    _sort_directs(root)
+        if closed is None:  # the previous position is the open node's last direct member
+            child = LaminarNode(value=g, direct=[top.direct.pop(), v])
+        else:  # the closed node is the open node's last child
+            child = LaminarNode(value=g, direct=[v], children=[top.children.pop()])
+        top.children.append(child)
+        stack.append(child)
     return LaminarFamily(normalized.n, root)
-
-
-def _sort_directs(root: LaminarNode) -> None:
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        node.direct.sort()
-        todo.extend(node.children)
 
 
 def reconstruct(family: LaminarFamily, n: int) -> np.ndarray:
@@ -229,42 +214,55 @@ def reconstruct(family: LaminarFamily, n: int) -> np.ndarray:
     return out
 
 
-def check_anti_ultrametric(
-    normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
-) -> bool:
-    """True iff reduced[i][j] >= min(reduced[i][k], reduced[j][k]) for all
-    distinct triples, decided by one Prim pass in O(n^2).
+def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """One Prim pass over the reduced matrix: (order, gap, stop).
 
-    The inequality holds iff every entry equals the bottleneck (smallest
-    edge on the tree path) between its endpoints in a maximum spanning
-    tree (Gower & Ross 1969; Hirai & Murota 2004).  Prim grows that tree
-    from index 0 and lists every single-linkage cluster contiguously, so
-    the bottleneck between the indices at positions i < j of the visit
-    order is the smallest join weight w[i+1..j].  Each joining row is
-    compared against those join weights, which are exact tree edges, never
-    against entries that were themselves only accepted within the slack;
-    the pass stops at the first row that differs by more than ``slack``.
+    Prim grows a maximum spanning tree from index 0 and lists every
+    single-linkage cluster contiguously (Gower & Ross 1969), so the
+    bottleneck between positions p < q of the visit order is
+    min(gap[p+1..q]); gap[k] is the weight at which order[k] joined.  Each
+    joining row is compared against those exact tree edges, never against
+    entries accepted only within the slack.  stop is the position of the
+    first row off by more than ``slack`` (order and gap are unset from
+    there on), or n when every row held.
     """
     matrix, off = normalized.matrix, normalized.row_offsets
     n = normalized.n
     order = np.zeros(n, dtype=np.intp)  # order[:k] is the tree so far
+    gap = np.full(n, -math.inf)
     best = matrix[0] - off[0] - off  # heaviest edge from each index into the tree
     best[0] = -math.inf
-    # bottleneck[i] = min(w[i+1..k]) from the visit-order position i to the
-    # newest tree index; entries not yet reached stay +inf
+    # bottleneck[i] = min(gap[i+1..k]) from the visit-order position i to
+    # the newest tree index; entries not yet reached stay +inf
     bottleneck = np.full(n, math.inf)
     for k in range(1, n):
         v = int(np.argmax(best))
         row = matrix[v] - off[v] - off  # reduced[v] to the bit, never built whole
         np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
         if not approx_eq_array(row[order[:k]], bottleneck[:k], slack).all():
-            return False
+            return order, gap, k
         order[k] = v
+        gap[k] = best[v]
         closer = row > best  # false at v itself, where the row holds NaN
         closer[order[:k]] = False
         best[closer] = row[closer]
         best[v] = -math.inf
-    return True
+    return order, gap, n
+
+
+def check_anti_ultrametric(
+    normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
+) -> bool:
+    """True iff each joining row of the Prim pass lies within ``slack`` of
+    the exact bottleneck to every index visited before it; O(n^2).
+
+    With no slack that is the reversed ultrametric inequality
+    reduced[i][j] >= min(reduced[i][k], reduced[j][k]) on distinct triples
+    (Hirai & Murota 2004).  Within the slack it is not: a tolerance that
+    holds triple by triple does not compose along a tree path, so the pass
+    can reject an instance whose every triple holds within the slack.
+    """
+    return _prim_pass(normalized, slack)[2] == normalized.n
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def _typed_verdict(
 
 
 def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
-    """Type I: normalize, then decide the reversed ultrametric inequality."""
+    """Type I: normalize, then run the Prim pass against the bottlenecks."""
     ok = check_anti_ultrametric(normalize_type1(instance), instance.slack(eps))
     return _typed_verdict(ok, TYPE_I, eps)
 
@@ -418,6 +416,7 @@ def test_mconvexity(
     graph = structure.build_infinity_graph(instance)
     decomposition = structure.decompose_components(graph)
     b_ok, b_witness = structure.check_condition_b(graph, decomposition)
+    del graph  # free its n x n mask before ``scale`` builds another
     if not b_ok:
         if assume_condition_a:
             return Verdict(

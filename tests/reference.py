@@ -7,9 +7,11 @@ comparison allows the documented absolute slack, eps times the instance's
 scale, which ``_slack`` computes from the coefficients.  The breadth-first
 component search and path-walk witness for condition B are the
 adjacency-list versions that the mask passes in ``qmconvex.structure``
-replaced.  The document parser and serializer at the end are the
-entry-by-entry versions that the array passes in ``qmconvex.core``
-replaced.
+replaced.  The pivot partition builds the laminar plateau family from the
+whole reduced matrix, as ``qmconvex.fast_tester.decompose`` did before it
+became the Cartesian tree of the Prim pass's gaps.  The document parser
+and serializer at the end are the entry-by-entry versions that the array
+passes in ``qmconvex.core`` replaced.
 """
 
 from __future__ import annotations
@@ -22,13 +24,19 @@ from collections import deque
 import numpy as np
 
 from qmconvex import (
+    DEFAULT_EPSILON,
     DOMAIN_VIOLATION,
     BudgetExceededError,
     InstanceFormatError,
+    LaminarFamily,
+    LaminarNode,
+    NormalizedMatrix,
     QuadraticInstance,
     Witness,
+    approx_gt,
     enumerate_domain,
 )
+from qmconvex.core import approx_eq_array
 
 
 def _slack(inst: QuadraticInstance, eps: float) -> float:
@@ -176,6 +184,53 @@ def anti_ultrametric_triples(matrix: np.ndarray, slack: float = 1e-9) -> bool:
         & (idx[None, :, None] != idx[None, None, :])
     )
     return not bool((_violates_ge(lhs, rhs, slack) & distinct).any())
+
+
+def pivot_decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
+    """Split [n] into nested plateaus by repeated pivot partitioning.
+
+    Each step takes the smallest index of the current set as pivot,
+    gathers the pivot-row minimum e and its argmin set X, records the
+    current set as a plateau when e strictly exceeds the inherited value
+    (ties merge), and recurses on X and its complement.  Recursion stops
+    on singletons and below +inf plateaus.  O(n^2) total.  ``slack`` is
+    the instance's absolute slack (the default suits a unit scale).
+    """
+    reduced = normalized.reduced
+    root = LaminarNode(value=normalized.global_min)
+    stack: list[tuple[np.ndarray, float, LaminarNode]] = [
+        (np.arange(normalized.n, dtype=np.intp), normalized.global_min, root)
+    ]
+    while stack:
+        members, inherited, parent = stack.pop()
+        if members.size <= 1 or math.isinf(inherited):
+            parent.direct.extend(int(v) for v in members)
+            continue
+        pivot = members[0]
+        rest = members[1:]
+        row = reduced[pivot, rest]
+        e = float(row.min())
+        mask = approx_eq_array(row, e, slack)
+        argmin = rest[mask]
+        complement = np.concatenate(([pivot], rest[~mask]))
+        node = parent
+        value = inherited
+        if approx_gt(e, inherited, slack):
+            node = LaminarNode(value=e)
+            parent.children.append(node)
+            value = e
+        stack.append((complement, value, node))
+        stack.append((argmin, value, node))
+    _sort_directs(root)
+    return LaminarFamily(normalized.n, root)
+
+
+def _sort_directs(root: LaminarNode) -> None:
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        node.direct.sort()
+        todo.extend(node.children)
 
 
 def condition_a_by_enumeration(inst: QuadraticInstance) -> bool | None:

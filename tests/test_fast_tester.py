@@ -13,6 +13,7 @@ from reference import (
     anti_ultrametric_triples,
     first_cross_quadruple,
     first_violating_quadruple,
+    pivot_decompose,
     scan_anti_tree_metric,
     scan_type2_equalities,
     scan_type3_equalities,
@@ -168,13 +169,50 @@ def test_reconstruct_refuses_broken_families(root):
 
 
 def test_golden_no_laminar_family():
-    family = q.decompose(q.normalize_type1(golden_no()))
-    assert family_sets(family) == {
+    nm = q.normalize_type1(golden_no())
+    # a no-instance, so no family certifies anything; the pivot partition
+    # (the reference) and the Cartesian tree of the Prim gaps differ here
+    assert family_sets(pivot_decompose(nm)) == {
         ((1, 2, 3, 4, 5), 0.0),
         ((1, 2, 3, 5), 1.0),
         ((1, 2, 5), 2.0),
         ((1, 5), np.inf),
     }
+    # Prim from index 1 visits 1, 5, 2, 3, 4 with join weights inf (a_15),
+    # 2 (a_12), 1 (a_13, the first of the tied a_13 and a_45) and 2 (a_34).
+    # The root sits at global_min 0.  inf opens {1,5}; 2 closes it and
+    # opens {1,2,5} around it; 1 closes that and opens {1,2,3,5} around
+    # it; 2 opens {3,4} from the last two positions.  No gap is 0, so the
+    # root holds no member and its only child also covers 1..5.
+    assert family_sets(q.decompose(nm)) == {
+        ((1, 2, 3, 4, 5), 0.0),
+        ((1, 2, 3, 4, 5), 1.0),
+        ((1, 2, 5), 2.0),
+        ((1, 5), np.inf),
+        ((3, 4), 2.0),
+    }
+
+
+def test_decompose_matches_pivot_partition_on_yes_instances():
+    # the Cartesian tree of the Prim gaps and the pivot partition give the
+    # same plateau sets, with values within the slack, wherever the pass
+    # accepts; half the inputs are laminar-built matrices with +inf
+    # plateaus, half tree metrics with potential offsets
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        n = int(rng.integers(4, 80))
+        if trial % 2:
+            nm, slack = normalized_from(random_laminar_matrix(n, rng)[0]), 1e-9
+        else:
+            inst = q.gen_tree_metric_type1(n, 2, int(rng.integers(1 << 30)))
+            inst = q.apply_potential(inst, rng.integers(-4, 5, size=n).astype(float))
+            nm, slack = q.normalize_type1(inst), inst.slack(1e-9)
+        assert q.check_anti_ultrametric(nm, slack)
+        got = sorted(q.decompose(nm, slack).sets(), key=lambda sv: sorted(sv[0]))
+        want = sorted(pivot_decompose(nm, slack).sets(), key=lambda sv: sorted(sv[0]))
+        assert [s for s, _ in got] == [s for s, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a == b or abs(a - b) <= slack
 
 
 def random_symmetric(n, rng, inf_prob=0.15, alphabet=None):
@@ -315,20 +353,42 @@ def test_type1_generated_tree_instances():
         assert q.local_exchange_holds(inst).status == q.M_CONVEX
 
 
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_type1_builds_no_square_matrix():
     n = 800
     yes = q.gen_tree_metric_type1(n, n // 4, 3)
     no = q.perturb(yes, (n // 2, n - 1), 1.0)
     for inst, want in ((yes, q.M_CONVEX), (no, q.NOT_M_CONVEX)):
         inst.scale  # computed once per instance, with its own n x n mask
-        tracemalloc.start()
-        try:
-            verdict = q.test_type1(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        verdict, peak = traced_peak(lambda: q.test_type1(inst))
         assert verdict.status == want
         assert peak < n * n, peak
+    # the laminar family comes from the same pass, not the reduced matrix
+    slack = yes.slack(1e-9)
+    family, peak = traced_peak(lambda: q.decompose(q.normalize_type1(yes), slack))
+    assert family.root.value == q.normalize_type1(yes).global_min
+    assert peak < n * n, peak
+
+
+def test_pipeline_frees_the_infinity_graph_before_the_typed_pass():
+    # a fresh instance computes its scale inside the typed pass, with an
+    # n x n mask of its own; the infinity graph's mask must be gone by then
+    n = 800
+    type1 = q.gen_tree_metric_type1(n, n // 4, 3)
+    type3 = q.gen_linear_typed([4] * (n // 4), n // 4, 1)
+    for inst, label in ((type1, q.TYPE_I), (type3, q.TYPE_III)):
+        verdict, peak = traced_peak(lambda: q.test_mconvexity(inst))
+        assert verdict.status == q.M_CONVEX and verdict.type_label == label
+        assert peak < 1.5 * n * n, (label, peak)
 
 
 def test_type2_golden_yes_accepted():
