@@ -1,11 +1,16 @@
-"""Brute-force ground truths, straight from the definitions.
+"""Brute-force ground truths by enumeration.
 
-Everything here enumerates: the effective domain, the exchange axiom over
-all support pairs, the local four-index exchange criterion, and a
-least-squares linearity certificate.  These routines are deliberately
-independent of the quadratic-time deciders so the two can cross-check
-each other.  Budgets are hard: exceeding one raises instead of sampling.
-Comparisons allow the instance's absolute slack, as in the deciders.
+Every routine here enumerates the effective domain first.  The exchange
+axiom is then checked over all support pairs in delta form: the change
+f(x - i + j) + f(y + i - j) - f(x) - f(y) is a sum of row sums of the
+coefficient matrix over x and y, so the check runs on arrays, a chunk of
+supports at a time.  The set exchange axiom and the local four-index
+criterion evaluate straight from the definitions in plain Python, an
+independent second oracle; the linearity certificate is a least-squares
+fit over the domain.  None of this shares code with the quadratic-time
+deciders, so the two can cross-check each other.  Budgets are hard:
+exceeding one raises instead of sampling.  Comparisons allow the
+instance's absolute slack, as in the deciders.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ DEFAULT_MAX_CANDIDATES = 2_000_000
 
 #: Cap on the number of exchange-inequality checks in the axiom oracles.
 DEFAULT_MAX_CHECKS = 100_000_000
+
+#: Cells of (x, y, i, j) that one chunk of the exchange check holds at most,
+#: unless one support x alone has more: 128 KB per float array.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,40 +168,77 @@ def exchange_axiom_holds(
     For each x, y in the domain and i in x\\y some j in y\\x must give
     f(x) + f(y) >= f(x - i + j) + f(y + i - j).  The witness is the first
     failing (x, y, i) in lexicographic order.
+
+    The inequality is checked in delta form, on row sums.  Let A0 be the
+    quadratic coefficients with +inf and the diagonal set to 0, G[x, k] the
+    sum of A0[l, k] over l in x, and C[x, k] the number of l in x with
+    a_lk = +inf.  Then for x, y, i, j as above
+
+        f(x - i + j) + f(y + i - j) - f(x) - f(y)
+            = G[x, j] - G[x, i] + G[y, i] - G[y, j] - 2 A0[i, j],
+
+    the linear terms cancelling, and both swapped points are in the domain
+    iff C[x, j] and C[y, i] each equal [a_ij = +inf].  A triple (x, y, i)
+    passes iff some j has both points in the domain and the delta at most
+    the slack.  The supports x are taken in chunks that double up to
+    ``_CHUNK_CELLS`` cells of (x, y, i, j) (or one support, when that alone
+    is more), so a chunk's arrays stay small and an early failure costs
+    one small chunk.  The first failing chunk holds the witness.
     """
     domain = enumerate_domain(instance, max_candidates)
     if not domain.supports:
         return Verdict(INVALID_INSTANCE, method="oracle-exchange", epsilon=eps)
     _check_budget(domain, max_checks)
+    n, r, d = domain.n, domain.r, len(domain.supports)
+    if d == 1:  # the axiom constrains pairs of distinct supports
+        return Verdict(M_CONVEX, method="oracle-exchange", epsilon=eps)
     slack = instance.slack(eps)
-    values = _domain_values(instance, domain)
-    sets = [frozenset(s) for s in domain.supports]
-    for xi, x in enumerate(domain.supports):
-        sx = sets[xi]
-        fx = values[x]
-        for yi, y in enumerate(domain.supports):
-            if xi == yi:
-                continue
-            sy = sets[yi]
-            lhs = fx + values[y]
-            for i in x:
-                if i in sy:
-                    continue
-                ok = False
-                for j in y:
-                    if j in sx:
-                        continue
-                    x2 = tuple(sorted(sx - {i} | {j}))
-                    y2 = tuple(sorted(sy - {j} | {i}))
-                    rhs = values.get(x2, INF) + values.get(y2, INF)
-                    if approx_le(rhs, lhs, slack):
-                        ok = True
-                        break
-                if not ok:
-                    witness = Witness(EXCHANGE_VIOLATION, x=x, y=y, i=i)
-                    return Verdict(
-                        NOT_M_CONVEX, method="oracle-exchange", witness=witness, epsilon=eps
-                    )
+    finite = np.isfinite(instance.quad)
+    a0 = np.where(finite, instance.quad, 0.0)
+    forbid = ~finite  # also true on the diagonal, which no count below reads
+    inside = np.array(domain.supports) - 1  # (x, i), each row ascending
+    rows = np.arange(d)[:, None]
+    member = np.zeros((n, d))  # indexed (k, y), so that y runs last in every gather
+    member[inside, rows] = 1.0
+    absent = member == 0.0
+    outside = absent.T.nonzero()[1].reshape(d, n - r)  # (x, j), each row ascending
+    gain = a0 @ member  # gain[k, y] = G[y, k], as A0 is symmetric
+    count = forbid @ member  # C[y, k], plus one for k in y
+    # Row i + n [a_ij = +inf] of gain_i holds G[y, i] where y + i - j stays
+    # in the domain (given j in y), else +inf; lose_j holds -G[y, j], +inf
+    # where j is not in y.  plane[i, j] names the row of gain_i for (i, j).
+    gain_i = np.where(count == np.arange(2)[:, None, None], gain, INF).reshape(2 * n, d)
+    lose_j = np.where(absent, INF, -gain)
+    plane = np.arange(n)[:, None] + n * forbid
+    del member, count
+    # per (x, i, j): key, the row of gain_i, and own, the x half of the
+    # delta, G[x, j] - G[x, i] - 2 A0[i, j], +inf where x - i + j leaves the
+    # domain (row j + n [a_ij = +inf] of gain_i at y = x)
+    xi, xj, at_x = inside[:, :, None], outside[:, None, :], rows[:, None]
+    key = plane[xi, xj]
+    own = gain_i[plane[xj, xi], at_x]
+    own -= gain[xi, at_x]
+    own -= 2.0 * a0[xi, xj]
+    own = own[..., None]
+    # A chunk below 1/16 of the cap costs its numpy calls, not its cells, so
+    # the first chunk is that size (at least one support); a tiny domain is
+    # then one chunk.
+    step = max(1, _CHUNK_CELLS // (d * r * (n - r)))
+    lo, size = 0, max(1, step // 16)
+    while lo < d:
+        hi = min(d, lo + size)
+        delta = gain_i.take(key[lo:hi], axis=0)  # (x, i, j, y)
+        delta += own[lo:hi]
+        delta += lose_j.take(outside[lo:hi], axis=0)[:, None]
+        fail = np.minimum.reduce(delta, axis=2) > slack  # (x, i, y)
+        fail &= absent.take(inside[lo:hi], axis=0)  # i not in y
+        if np.count_nonzero(fail):
+            first = fail.transpose(0, 2, 1)  # (x, y, i), lexicographic
+            x, y, k = np.unravel_index(np.argmax(first), first.shape)
+            x = domain.supports[lo + x]
+            witness = Witness(EXCHANGE_VIOLATION, x=x, y=domain.supports[y], i=x[k])
+            return Verdict(NOT_M_CONVEX, method="oracle-exchange", witness=witness, epsilon=eps)
+        lo, size = hi, min(2 * size, step)
     return Verdict(M_CONVEX, method="oracle-exchange", epsilon=eps)
 
 

@@ -1,9 +1,11 @@
-"""Shared builders for the test suite: golden instances and seeded corpora."""
+"""Shared builders for the test suite: golden instances, seeded corpora and
+a traced-peak probe."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -140,3 +142,13 @@ def random_laminar_matrix(
         np.fill_diagonal(matrix, np.nan)
         if break_pair is not None:
             return matrix, break_pair
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,9 +9,13 @@ component search and path-walk witness for condition B are the
 adjacency-list versions that the mask passes in ``qmconvex.structure``
 replaced.  The pivot partition builds the laminar plateau family from the
 whole reduced matrix, as ``qmconvex.fast_tester.decompose`` did before it
-became the Cartesian tree of the Prim pass's gaps.  The document parser
-and serializer at the end are the entry-by-entry versions that the array
-passes in ``qmconvex.core`` replaced.
+became the Cartesian tree of the Prim pass's gaps.  The exchange-axiom loop
+evaluates every swapped pair of points by dictionary lookup, as
+``qmconvex.oracle.exchange_axiom_holds`` did before it checked the axiom
+in delta form on arrays; it is that code unchanged, so it takes its slack
+from the instance.  The document parser and serializer at the end are the
+entry-by-entry versions that the array passes in ``qmconvex.core``
+replaced.
 """
 
 from __future__ import annotations
@@ -26,17 +30,30 @@ import numpy as np
 from qmconvex import (
     DEFAULT_EPSILON,
     DOMAIN_VIOLATION,
+    EXCHANGE_VIOLATION,
+    INF,
+    INVALID_INSTANCE,
+    M_CONVEX,
+    NOT_M_CONVEX,
     BudgetExceededError,
     InstanceFormatError,
     LaminarFamily,
     LaminarNode,
     NormalizedMatrix,
     QuadraticInstance,
+    Verdict,
     Witness,
     approx_gt,
+    approx_le,
     enumerate_domain,
 )
 from qmconvex.core import approx_eq_array
+from qmconvex.oracle import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_CHECKS,
+    _check_budget,
+    _domain_values,
+)
 
 
 def _slack(inst: QuadraticInstance, eps: float) -> float:
@@ -231,6 +248,55 @@ def _sort_directs(root: LaminarNode) -> None:
         node = todo.pop()
         node.direct.sort()
         todo.extend(node.children)
+
+
+def exchange_axiom_by_loop(
+    instance: QuadraticInstance,
+    *,
+    eps: float = DEFAULT_EPSILON,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    max_checks: int = DEFAULT_MAX_CHECKS,
+) -> Verdict:
+    """Quantitative exchange axiom over every (x, y, i), by enumeration.
+
+    For each x, y in the domain and i in x\\y some j in y\\x must give
+    f(x) + f(y) >= f(x - i + j) + f(y + i - j).  The witness is the first
+    failing (x, y, i) in lexicographic order.
+    """
+    domain = enumerate_domain(instance, max_candidates)
+    if not domain.supports:
+        return Verdict(INVALID_INSTANCE, method="oracle-exchange", epsilon=eps)
+    _check_budget(domain, max_checks)
+    slack = instance.slack(eps)
+    values = _domain_values(instance, domain)
+    sets = [frozenset(s) for s in domain.supports]
+    for xi, x in enumerate(domain.supports):
+        sx = sets[xi]
+        fx = values[x]
+        for yi, y in enumerate(domain.supports):
+            if xi == yi:
+                continue
+            sy = sets[yi]
+            lhs = fx + values[y]
+            for i in x:
+                if i in sy:
+                    continue
+                ok = False
+                for j in y:
+                    if j in sx:
+                        continue
+                    x2 = tuple(sorted(sx - {i} | {j}))
+                    y2 = tuple(sorted(sy - {j} | {i}))
+                    rhs = values.get(x2, INF) + values.get(y2, INF)
+                    if approx_le(rhs, lhs, slack):
+                        ok = True
+                        break
+                if not ok:
+                    witness = Witness(EXCHANGE_VIOLATION, x=x, y=y, i=i)
+                    return Verdict(
+                        NOT_M_CONVEX, method="oracle-exchange", witness=witness, epsilon=eps
+                    )
+    return Verdict(M_CONVEX, method="oracle-exchange", epsilon=eps)
 
 
 def condition_a_by_enumeration(inst: QuadraticInstance) -> bool | None:

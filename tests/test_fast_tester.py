@@ -2,13 +2,19 @@
 tests, the pipeline, and witness extraction."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import qmconvex as q
-from helpers import all_zero, golden_yes, golden_no, random_ab_instance, random_laminar_matrix
+from helpers import (
+    all_zero,
+    golden_no,
+    golden_yes,
+    random_ab_instance,
+    random_laminar_matrix,
+    traced_peak,
+)
 from reference import (
     anti_ultrametric_triples,
     first_cross_quadruple,
@@ -351,16 +357,6 @@ def test_type1_generated_tree_instances():
         inst = q.gen_tree_metric_type1(8, 3, seed)
         assert q.test_mconvexity(inst).status == q.M_CONVEX
         assert q.local_exchange_holds(inst).status == q.M_CONVEX
-
-
-def traced_peak(call):
-    """(result, peak bytes that tracemalloc saw during the call)."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_type1_builds_no_square_matrix():

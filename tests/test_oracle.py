@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import qmconvex as q
-from helpers import all_zero, golden_yes, golden_no
+from helpers import all_zero, golden_no, golden_yes, traced_peak
+from reference import exchange_axiom_by_loop
 
 
 def test_evaluate_golden_yes():
@@ -128,6 +129,88 @@ def test_exchange_invariant_under_linear_rewrites():
         lin = rng.uniform(-10, 10, size=5)
         inst = q.QuadraticInstance(5, 3, lin, base2.quad)
         assert q.exchange_axiom_holds(inst).status == expected2
+
+
+def _same_as_the_loop(inst: q.QuadraticInstance) -> str:
+    """The array oracle against the enumeration loop it replaced: same
+    status, same witness, a witness that verifies, and the local criterion
+    agreeing on the status."""
+    verdict = q.exchange_axiom_holds(inst)
+    loop = exchange_axiom_by_loop(inst)
+    assert (verdict.status, verdict.witness) == (loop.status, loop.witness), (
+        q.serialize_instance(inst)
+    )
+    assert q.local_exchange_holds(inst).status == verdict.status
+    if verdict.status == q.NOT_M_CONVEX:
+        assert q.verify_witness(inst, verdict.witness)
+    return verdict.status
+
+
+def _crosscheck_classes(n: int, rng: np.random.Generator):
+    """One instance per class of the benchmark's crosscheck corpus at size
+    n: type I yes and no, types II and III, a non-clique +inf pattern (the
+    enumeration fallback) and a tree metric with symmetric noise of eps/30
+    relative to its largest coefficient."""
+    r = max(3, n // 4)
+
+    def tree() -> q.QuadraticInstance:
+        return q.gen_tree_metric_type1(n, r, int(rng.integers(2**31)))
+
+    yes = tree()
+    yield yes
+    # a_{n-1,n} + a_12 becomes the unique smallest pairing sum, one below
+    a, i, j = yes.quad, n - 2, n - 1
+    target = min(a[0, i] + a[1, j], a[0, j] + a[1, i]) - 1.0
+    yield q.perturb(yes, (i + 1, j + 1), target - a[i, j] - a[0, 1])
+    seed = int(rng.integers(2**31))
+    half = n // 2
+    yield q.gen_linear_typed([half] + [1] * (n - half), n - half, seed)
+    sizes = [2] * (n // 2) + [1] * (n % 2)
+    yield q.gen_linear_typed(sizes, len(sizes), seed)
+    quad = tree().quad.copy()
+    quad[0, 1] = quad[1, 0] = quad[1, 2] = quad[2, 1] = q.INF
+    yield q.QuadraticInstance(n, r, np.zeros(n), quad)
+    base = tree()
+    noise = rng.uniform(-1.0, 1.0, (n, n)) * (q.DEFAULT_EPSILON / 30)
+    upper = np.triu(noise * np.nanmax(np.abs(base.quad)), 1)
+    yield q.QuadraticInstance(n, r, base.linear, base.quad + upper + upper.T)
+
+
+def test_exchange_axiom_matches_the_loop():
+    rng = np.random.default_rng(21)
+    seen = {q.M_CONVEX: 0, q.NOT_M_CONVEX: 0, q.INVALID_INSTANCE: 0}
+    for n in (8, 9, 10):
+        for inst in _crosscheck_classes(n, rng):
+            seen[_same_as_the_loop(inst)] += 1
+    # random integer coefficients with +inf patterns, every r
+    for n in range(4, 9):
+        for r in range(1, n):
+            for _ in range(3):
+                p_inf = rng.uniform(0.0, 0.4)
+                entries = {
+                    (i, j): q.INF if rng.random() < p_inf else float(rng.integers(-3, 4))
+                    for i, j in itertools.combinations(range(1, n + 1), 2)
+                }
+                linear = rng.integers(-3, 4, n).astype(float)
+                seen[_same_as_the_loop(q.QuadraticInstance.from_entries(n, r, entries, linear))] += 1
+    # tree metrics with one pair bumped by +-1
+    for _ in range(40):
+        n = int(rng.integers(5, 10))
+        inst = q.gen_tree_metric_type1(n, int(rng.integers(2, n - 1)), int(rng.integers(2**31)))
+        i, j = (int(v) + 1 for v in rng.choice(n, 2, replace=False))
+        seen[_same_as_the_loop(q.perturb(inst, (i, j), float(rng.choice([-1.0, 1.0]))))] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_exchange_axiom_memory_is_chunked():
+    # 1,001 supports of size 4 out of 14: one support's (x, y, i, j) cells
+    # number 1001 * 4 * 10, so the unchunked array would take 320 MB in
+    # floats; the chunked check peaks near 1.9 MB
+    inst = q.gen_tree_metric_type1(14, 4, 5)
+    inst.scale  # computed once per instance, with an n x n mask of its own
+    verdict, peak = traced_peak(lambda: q.exchange_axiom_holds(inst))
+    assert verdict.status == q.M_CONVEX
+    assert peak < 2_500_000, peak
 
 
 def test_set_violation_when_b_fails_and_a_holds():
