@@ -8,6 +8,7 @@ for cross-checking, and seeded generators produce yes/no corpora.
 __version__ = "0.1.0"
 
 from .core import (
+    BOTTLENECK_PATH,
     DEFAULT_EPSILON,
     DOMAIN_VIOLATION,
     EXCHANGE_VIOLATION,

@@ -39,6 +39,7 @@ INVALID_INSTANCE = "invalid_instance"
 # Witness kinds.
 EXCHANGE_VIOLATION = "exchange_violation"
 QUADRUPLE_VIOLATION = "quadruple_violation"
+BOTTLENECK_PATH = "bottleneck_path"
 DOMAIN_VIOLATION = "domain_violation"
 
 
@@ -428,6 +429,13 @@ class Witness:
                              no j makes the exchange inequality hold
       quadruple_violation -- indices (i, j, k, l) whose three pairing sums
                              attain their minimum exactly once
+      bottleneck_path     -- a path u = t0, ..., tL = v, L >= 2, of distinct
+                             indices whose every edge's reduced coefficient
+                             (less both row minima) exceeds that of {u, v}
+                             by more than the slack: the reduced matrix is
+                             more than slack/2 from every reversed
+                             ultrametric (type I's contract), though no
+                             quadruple need violate
       domain_violation    -- indices (i, j, k) with {i,j}, {j,k} forbidden
                              but {i,k} allowed
     All indices are 1-based.

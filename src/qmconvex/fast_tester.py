@@ -9,9 +9,14 @@ visit order is the layout and its join weights are the gaps (Gower & Ross
 1969; Hirai & Murota 2004).  The instance is accepted iff each joining
 row lies within the slack of the exact bottleneck, the smallest gap
 between the two positions; within the slack that is not the reversed
-ultrametric inequality tested triple by triple.  The laminar plateau
-family (``decompose``) is the Cartesian tree of the same gaps, kept as a
-certificate API; ``reconstruct`` reads a family back by the same rule.
+ultrametric inequality tested triple by triple.  The bottleneck matrix B
+of the Prim tree is the smallest reversed ultrametric above the reduced
+matrix R, so the pass rejects iff max(B - R) > slack: it accepts iff R
+lies within slack/2 of an exact reversed ultrametric at the row-minimum
+normalization (Farach, Kannan & Warnow 1995).  A rejection's witness is
+read off the stopped pass.  The laminar plateau family (``decompose``) is
+the Cartesian tree of the same gaps, kept as a certificate API;
+``reconstruct`` reads a family back by the same rule.
 
 Type II and III instances reduce to additive rank-one structure on cross
 blocks.  The big components are laid end to end once.  Each one's rows
@@ -25,11 +30,13 @@ comparison allows one absolute slack, ``QuadraticInstance.slack``.
 The pipeline short-circuits the degenerate slices r = 1 and r = n-1,
 rejects on a failed condition B when condition A is assumed, falls back
 to the enumeration oracle on small instances otherwise, and dispatches to
-the typed decider after classification.  Only type I witness extraction
-is a separate scan, run in explain mode, so the decision path stays
-quadratic.  It returns the lexicographically first violating quadruple,
-found by one numpy pass per index pair (i, j) over every k < l after j:
-O(n^2) Python steps, O(n^4) arithmetic in the worst case.
+the typed decider after classification.  Each type has one algorithm,
+which decides and names the witness, so explain mode costs O(n^2) too.
+A type I witness is a violating quadruple through the failing cell and
+the failing index's tree parent when one exists (rule (i), one vector
+pass), else the Prim-tree path between the failing cell's ends, each of
+whose reduced edges exceeds the cell by more than the slack.  That path
+certifies the l-infinity contract above, not a violating quadruple.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import numpy as np
 
 from . import oracle, structure
 from .core import (
+    BOTTLENECK_PATH,
     DEFAULT_EPSILON,
     INVALID_INSTANCE,
     M_CONVEX,
@@ -78,6 +86,9 @@ class NormalizedMatrix:
     global_min: float
     row_offsets: np.ndarray
     matrix: np.ndarray
+    #: (order, gap, stop) of each Prim pass that check_anti_ultrametric ran,
+    #: by slack, so that a rejection's witness reads the pass that decided
+    passes: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def reduced(self) -> np.ndarray:
@@ -223,8 +234,8 @@ def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, 
     min(gap[p+1..q]); gap[k] is the weight at which order[k] joined.  Each
     joining row is compared against those exact tree edges, never against
     entries accepted only within the slack.  stop is the position of the
-    first row off by more than ``slack`` (order and gap are unset from
-    there on), or n when every row held.
+    first row off by more than ``slack``, or n when every row held;
+    order[stop] is that row's index, and order and gap are unset after it.
     """
     matrix, off = normalized.matrix, normalized.row_offsets
     n = normalized.n
@@ -236,12 +247,11 @@ def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, 
     # the newest tree index; entries not yet reached stay +inf
     bottleneck = np.full(n, math.inf)
     for k in range(1, n):
-        v = int(np.argmax(best))
+        v = order[k] = int(np.argmax(best))
         row = matrix[v] - off[v] - off  # reduced[v] to the bit, never built whole
         np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
         if not approx_eq_array(row[order[:k]], bottleneck[:k], slack).all():
             return order, gap, k
-        order[k] = v
         gap[k] = best[v]
         closer = row > best  # false at v itself, where the row holds NaN
         closer[order[:k]] = False
@@ -250,41 +260,116 @@ def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, 
     return order, gap, n
 
 
+def _tree_column(normalized: NormalizedMatrix, tree: np.ndarray, v: int) -> np.ndarray:
+    """Reduced entries from each tree index to v, by the float expression
+    with which the Prim pass compared them, so argmax is v's parent."""
+    off = normalized.row_offsets
+    return normalized.matrix[tree, v] - off[tree] - off[v]
+
+
+def _type1_witness(
+    normalized: NormalizedMatrix, order: np.ndarray, gap: np.ndarray, stop: int, slack: float
+) -> Witness:
+    """The witness of a Prim pass that stopped at position ``stop``.
+
+    Index v = order[stop] joined at weight w under its parent t, the first
+    tree index in visit order that attains w, and the first tree index u
+    whose reduced entry to v is off by more than the slack from the
+    bottleneck between them.  That bottleneck is the smallest edge of the
+    tree path from u to v and is at least R[u, v], so each edge of the
+    path exceeds R[u, v] by more than the slack.  Rule (i): the smallest l
+    for which (u, v, t, l) violates, one vector pass over l, gives a
+    quadruple.  Failing that, the path u, ..., t, v is the witness
+    (``BOTTLENECK_PATH``), found by walking parents up to the common
+    ancestor in O(n) per node.
+    """
+    a, off = normalized.matrix, normalized.row_offsets
+    tree, v = order[:stop], int(order[stop])
+    column = _tree_column(normalized, tree, v)
+    parent = int(column.argmax())
+    # the pass's bottleneck from every tree position to v, as a suffix minimum
+    joins = np.append(gap[1:stop], column[parent])
+    bottleneck = np.minimum.accumulate(joins[::-1])[::-1]
+    row = a[v] - off[v] - off
+    u = int(tree[(~approx_eq_array(row[tree], bottleneck, slack)).argmax()])
+    t = int(tree[parent])
+    # the three pairing sums of (u, v, t, l); NaN where l is one of them
+    s1, s2, s3 = a[u, v] + a[t], a[u, t] + a[v], a[u] + a[v, t]
+    lo = np.minimum(np.minimum(s1, s2), s3)
+    mid = np.maximum(np.minimum(s1, s2), np.minimum(np.maximum(s1, s2), s3))
+    with np.errstate(invalid="ignore"):  # inf - inf where every sum is +inf
+        hit = np.isfinite(lo) & (mid - lo > slack)
+    if hit.any():
+        quad = sorted(x + 1 for x in (u, v, t, int(hit.argmax())))
+        return Witness(QUADRUPLE_VIOLATION, indices=tuple(quad))
+    # tree path: climb from the later of the two ends until they meet
+    where = np.empty(normalized.n, dtype=np.intp)
+    where[order[:stop + 1]] = np.arange(stop + 1)
+    up_u, up_v = [u], [v, t]
+    while up_u[-1] != up_v[-1]:
+        climb = up_u if where[up_u[-1]] > where[up_v[-1]] else up_v
+        earlier = order[:where[climb[-1]]]
+        climb.append(int(earlier[_tree_column(normalized, earlier, climb[-1]).argmax()]))
+    path = up_u + up_v[-2::-1]
+    return Witness(BOTTLENECK_PATH, indices=tuple(x + 1 for x in path))
+
+
 def check_anti_ultrametric(
     normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
 ) -> bool:
     """True iff each joining row of the Prim pass lies within ``slack`` of
     the exact bottleneck to every index visited before it; O(n^2).
 
-    With no slack that is the reversed ultrametric inequality
-    reduced[i][j] >= min(reduced[i][k], reduced[j][k]) on distinct triples
-    (Hirai & Murota 2004).  Within the slack it is not: a tolerance that
-    holds triple by triple does not compose along a tree path, so the pass
-    can reject an instance whose every triple holds within the slack.
+    With B the bottleneck matrix of the Prim tree and R the reduced
+    matrix, B >= R entrywise and the pass rejects iff max(B - R) > slack.
+    B is the smallest reversed ultrametric above R, so (Farach, Kannan &
+    Warnow 1995) this accepts iff R lies within slack/2 of an exact
+    reversed ultrametric, at the row-minimum normalization.  With no
+    slack that is the inequality reduced[i][j] >= min(reduced[i][k],
+    reduced[j][k]) on distinct triples (Hirai & Murota 2004).  Within the
+    slack it is not: a tolerance that holds triple by triple does not
+    compose along a tree path, so the pass can reject an instance whose
+    every triple holds within the slack.  The pass is kept on
+    ``normalized`` by slack, for the witness of a rejection.
     """
-    return _prim_pass(normalized, slack)[2] == normalized.n
+    normalized.passes[slack] = found = _prim_pass(normalized, slack)
+    return found[2] == normalized.n
 
 
 # ---------------------------------------------------------------------------
 # Typed deciders
 
 
-def _typed_verdict(
-    ok: bool, type_label: str, eps: float, quad: tuple[int, int, int, int] | None = None
-) -> Verdict:
+def _typed_verdict(type_label: str, eps: float, witness: Witness | None) -> Verdict:
+    """Yes without a witness, no with one."""
     return Verdict(
-        M_CONVEX if ok else NOT_M_CONVEX,
+        M_CONVEX if witness is None else NOT_M_CONVEX,
         method=f"algorithm-{type_label}",
         type_label=type_label,
-        witness=None if quad is None else Witness(QUADRUPLE_VIOLATION, indices=quad),
+        witness=witness,
         epsilon=eps,
     )
 
 
 def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Verdict:
-    """Type I: normalize, then run the Prim pass against the bottlenecks."""
-    ok = check_anti_ultrametric(normalize_type1(instance), instance.slack(eps))
-    return _typed_verdict(ok, TYPE_I, eps)
+    """Type I: normalize, then run the Prim pass against the bottlenecks.
+    A rejection carries the witness read off the stopped pass."""
+    normalized, slack = normalize_type1(instance), instance.slack(eps)
+    if check_anti_ultrametric(normalized, slack):
+        return _typed_verdict(TYPE_I, eps, None)
+    witness = _type1_witness(normalized, *normalized.passes[slack], slack)
+    return _typed_verdict(TYPE_I, eps, witness)
+
+
+def _cross_verdict(
+    instance: QuadraticInstance,
+    decomposition: structure.ComponentDecomposition,
+    type_label: str,
+    eps: float,
+) -> Verdict:
+    quad = _cross_violation(instance, decomposition, type_label, instance.slack(eps))
+    witness = None if quad is None else Witness(QUADRUPLE_VIOLATION, indices=quad)
+    return _typed_verdict(type_label, eps, witness)
 
 
 def _cross_violation(
@@ -350,8 +435,7 @@ def test_type2(
     must be additive, a_ij + a_kl = a_il + a_kj for all i,k inside and j,l
     outside; anchoring k and l at the block's first row and column checks
     all of them.  A rejection carries the first failing quadruple."""
-    quad = _cross_violation(instance, decomposition, TYPE_II, instance.slack(eps))
-    return _typed_verdict(quad is None, TYPE_II, eps, quad)
+    return _cross_verdict(instance, decomposition, TYPE_II, eps)
 
 
 def test_type3(
@@ -361,8 +445,7 @@ def test_type3(
 ) -> Verdict:
     """Type III: the same additivity on each block between two distinct
     big components, with the same witness on a rejection."""
-    quad = _cross_violation(instance, decomposition, TYPE_III, instance.slack(eps))
-    return _typed_verdict(quad is None, TYPE_III, eps, quad)
+    return _cross_verdict(instance, decomposition, TYPE_III, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +489,14 @@ def test_mconvexity(
     a clique then the answer is no under condition A, otherwise fall back
     to the enumeration oracle when C(n, r) fits the budget and report
     undecided beyond it; with clique components, classify by component
-    count and run the quadratic-time decider for the type.  In explain
-    mode a rejecting typed verdict carries a violating quadruple: types II
-    and III find it as they decide, type I by a separate scan.
+    count and run the quadratic-time decider for the type.  Every typed
+    decider finds its witness as it decides; explain mode keeps it.
+
+    Type I accepts iff the reduced matrix (the coefficients less the
+    row-minimum offsets) lies within slack/2 of an exact reversed
+    ultrametric, the l-infinity contract of ``check_anti_ultrametric``.
+    Its witness is a violating quadruple when rule (i) finds one, else a
+    bottleneck path, which certifies that contract and nothing more.
     """
     n, r = instance.n, instance.r
     if r == 1 or r == n - 1:
@@ -437,20 +525,11 @@ def test_mconvexity(
         verdict = test_type2(instance, decomposition, eps)
     else:
         verdict = test_type3(instance, decomposition, eps)
-    if not explain:
-        return replace(verdict, witness=None)
-    if verdict.status == NOT_M_CONVEX and verdict.witness is None:
-        quad = find_violation_quadruple(instance, decomposition, type_label, eps)
-        if quad is None:
-            raise InternalInconsistencyError(
-                "typed decider rejected but the full scan found no quadruple"
-            )
-        verdict = replace(verdict, witness=Witness(QUADRUPLE_VIOLATION, indices=quad))
-    return verdict
+    return verdict if explain else replace(verdict, witness=None)
 
 
 # ---------------------------------------------------------------------------
-# Witness extraction (explain mode)
+# The quadruple of a typed rejection
 
 
 def find_violation_quadruple(
@@ -459,47 +538,20 @@ def find_violation_quadruple(
     type_label: str,
     eps: float = DEFAULT_EPSILON,
 ) -> tuple[int, int, int, int] | None:
-    """First quadruple (1-based) violating the type's condition.
+    """The quadruple (1-based) that the type's deciding pass names, or None.
 
     A quadruple violates iff its three pairing sums a_ij + a_kl,
     a_ik + a_jl, a_il + a_jk attain their minimum exactly once.  Types II
     and III take the quadruple (i, j, k, l), i < k in one big component and
     j < l across from it, that their deciding pass finds in O(n^2): the
     pair inside the component is +inf, so the quadruple violates iff
-    a_ij + a_kl != a_il + a_kj.  Type I returns the lexicographically first
-    violating quadruple, found by one numpy pass per pair i < j over the
-    (k, l) triangle j < k < l: O(n^2) Python steps, O(n^4) arithmetic in
-    the worst case.
+    a_ij + a_kl != a_il + a_kj.  Type I returns the quadruple of
+    ``test_type1``'s witness, sorted; None when the pass accepts or when
+    its witness is a bottleneck path.  Every branch is O(n^2).
     """
-    slack = instance.slack(eps)
     if type_label in (TYPE_II, TYPE_III):
-        return _cross_violation(instance, decomposition, type_label, slack)
+        return _cross_violation(instance, decomposition, type_label, instance.slack(eps))
     if type_label != TYPE_I:
         raise ValueError(f"no quadruple condition for type {type_label!r}")
-    quad = instance.quad
-    n = instance.n
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # k < l, cut to size per pair
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            rest = slice(j + 1, n)
-            m = n - j - 1
-            # cell (k, l) holds the pairing sums of (i, j, j+1+k, j+1+l)
-            s1 = quad[rest, rest] + quad[i, j]
-            s2 = quad[i, rest][:, None] + quad[j, rest]
-            s3 = s2.T
-            # the smallest and the middle sum, as values, in three buffers
-            lo = np.minimum(s1, s2)
-            mid = np.maximum(s1, s2, out=s1)
-            np.minimum(mid, s3, out=mid)
-            np.maximum(mid, lo, out=mid)
-            np.minimum(lo, s3, out=lo)
-            # +inf - +inf would warn, and such a cell cannot violate
-            keep = np.isfinite(lo)
-            keep &= upper[:m, :m]
-            np.subtract(mid, lo, out=mid, where=keep)
-            hit = np.greater(mid, slack, out=np.zeros_like(keep), where=keep)
-            first = int(hit.argmax())  # row-major, so the smallest (k, l)
-            if hit.flat[first]:
-                k, l = divmod(first, m)
-                return (i + 1, j + 1, j + k + 2, j + l + 2)
-    return None
+    witness = test_type1(instance, eps).witness
+    return witness.indices if witness and witness.kind == QUADRUPLE_VIOLATION else None

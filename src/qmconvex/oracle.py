@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    BOTTLENECK_PATH,
     DEFAULT_EPSILON,
     DOMAIN_VIOLATION,
     EXCHANGE_VIOLATION,
@@ -357,7 +358,16 @@ def verify_witness(
     instance: QuadraticInstance, witness: Witness, eps: float = DEFAULT_EPSILON
 ) -> bool:
     """Re-check a witness against the instance by direct evaluation.  A
-    witness that names an index outside 1..n, or one index twice, fails."""
+    witness that names an index outside 1..n, or one index twice, fails.
+
+    A bottleneck path u = t0, ..., tL = v holds when L >= 2 and each of
+    its edges' reduced coefficients exceeds that of {u, v} by more than
+    the slack.  With exact arithmetic the reversed ultrametric inequality
+    then fails on some triple of the path, hence a quadruple violates
+    (Hirai & Murota 2004); within the slack the path certifies only that
+    the reduced matrix is more than slack/2 from every reversed
+    ultrametric, at the row-minimum normalization.
+    """
     for named in filter(None, (witness.indices, witness.x, witness.y)):
         if len(set(named)) < len(named) or not all(1 <= v <= instance.n for v in named):
             return False
@@ -370,6 +380,18 @@ def verify_witness(
         )
     if witness.kind == QUADRUPLE_VIOLATION:
         return quadruple_violated(instance, *witness.indices, eps=eps)
+    if witness.kind == BOTTLENECK_PATH:
+        # reduced coefficients less twice the global minimum, which cancels
+        # from every difference: only the L+1 named rows are read, O(n L)
+        if len(witness.indices) < 3:
+            return False
+        idx = np.asarray(witness.indices, dtype=np.intp) - 1
+        low = np.nanmin(instance.quad[idx], axis=1)  # the NaN diagonal drops out
+        if not np.isfinite(low).all():
+            return False
+        ends = instance.quad[idx[0], idx[-1]] - low[0] - low[-1]
+        edges = instance.quad[idx[:-1], idx[1:]] - low[:-1] - low[1:]
+        return math.isfinite(ends) and bool((edges - ends > instance.slack(eps)).all())
     if witness.kind == EXCHANGE_VIOLATION:
         x, y, i = witness.x, witness.y, witness.i
         sx, sy = frozenset(x), frozenset(y)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from qmconvex import INF, QuadraticInstance, SimpleGraph
+from qmconvex import INF, QuadraticInstance, SimpleGraph, gen_tree_metric_type1
 
 #: Golden yes-instance: n=5, r=3, one infinite pair {1,5}, accepted by the
 #: cross-equality decider even though the all-quadruple inequality fails.
@@ -37,6 +37,22 @@ def golden_no() -> QuadraticInstance:
 
 def all_zero(n: int, r: int) -> QuadraticInstance:
     return QuadraticInstance.from_entries(n, r)
+
+
+def boundary_case(rng: np.random.Generator) -> QuadraticInstance:
+    """Type I instance at the tolerance boundary: a tree metric on n 6-13
+    indices (r = 2), symmetric noise of at most a third of the slack, and
+    one pair moved by 1-3 slacks either way.  Most are rejected, some with
+    no quadruple that violates by more than the slack."""
+    n = int(rng.integers(6, 14))
+    inst = gen_tree_metric_type1(n, 2, int(rng.integers(0, 2**31)))
+    slack = inst.slack(1e-9)
+    noise = np.triu(rng.uniform(-slack / 3, slack / 3, (n, n)), 1)
+    quad = inst.quad + noise + noise.T
+    i, j = rng.choice(n, 2, replace=False)
+    quad[i, j] += rng.uniform(1, 3) * slack * rng.choice([-1, 1])
+    quad[j, i] = quad[i, j]
+    return QuadraticInstance(n, 2, inst.linear, quad)
 
 
 def random_ab_instance(n: int, rng: np.random.Generator) -> QuadraticInstance:

@@ -52,7 +52,7 @@ def test_explain_golden_no(capsys, golden_no_path):
     doc = json.loads(out)
     assert code == 1
     assert doc["witness"]["kind"] == "quadruple_violation"
-    assert doc["witness"]["indices"] == [1, 2, 3, 4]
+    assert doc["witness"]["indices"] == [1, 2, 3, 5]
 
 
 def test_classify_golden_yes(capsys, golden_yes_path):

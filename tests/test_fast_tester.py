@@ -2,6 +2,7 @@
 tests, the pipeline, and witness extraction."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 import qmconvex as q
 from helpers import (
     all_zero,
+    boundary_case,
     golden_no,
     golden_yes,
     random_ab_instance,
     random_laminar_matrix,
     traced_peak,
 )
+from qmconvex.cli import main as cli_main
 from reference import (
     anti_ultrametric_triples,
     first_cross_quadruple,
@@ -633,13 +636,16 @@ def test_pipeline_agrees_exhaustively_n4_alphabet4():
 
 
 def test_find_violation_golden_no():
+    # the Prim pass visits 1, then 5 (a_15 = +inf), and stops at 2: it
+    # joins under its parent 1 at a_12 = 2, so its bottleneck to 5 is 2,
+    # but a_25 = 0; (5, 2, 1, l) first violates at l = 3
     graph = q.build_infinity_graph(golden_no())
     decomp = q.decompose_components(graph)
     quad = q.find_violation_quadruple(golden_no(), decomp, q.TYPE_I)
-    assert quad == (1, 2, 3, 4)
+    assert quad == (1, 2, 3, 5)
     a = golden_no().pair
-    sums = (a(1, 2) + a(3, 4), a(1, 3) + a(2, 4), a(1, 4) + a(2, 3))
-    assert sums == (4.0, 2.0, 0.0)
+    sums = (a(1, 2) + a(3, 5), a(1, 3) + a(2, 5), a(1, 5) + a(2, 3))
+    assert sums == (2.0, 1.0, q.INF)
 
 
 def test_find_violation_none_on_accepted():
@@ -673,23 +679,34 @@ def _type1_case(rng: np.random.Generator) -> q.QuadraticInstance:
 
 
 def test_type1_witness_matches_quadruple_scan():
-    # the numpy pass per (i, j) names the quadruple that the loop over all
-    # quadruples in lexicographic order meets first
+    # every rejection's witness verifies; when it is a quadruple, the loop
+    # over all quadruples finds a violation too, and find_violation_quadruple
+    # names the same one
     rng = np.random.default_rng(71)
     rejected = 0
     for _ in range(600):
         inst = _type1_case(rng)
         decomp = q.decompose_components(q.build_infinity_graph(inst))
         assert q.classify(decomp, inst.r) == q.TYPE_I
+        verdict = q.test_mconvexity(inst, explain=True)
         found = q.find_violation_quadruple(inst, decomp, q.TYPE_I)
-        assert found == first_violating_quadruple(inst)
-        rejected += found is not None
+        if verdict.status == q.M_CONVEX:
+            assert verdict.witness is None and found is None
+            continue
+        rejected += 1
+        assert q.verify_witness(inst, verdict.witness)
+        if verdict.witness.kind == q.QUADRUPLE_VIOLATION:
+            assert found == verdict.witness.indices
+            assert first_violating_quadruple(inst) is not None
+        else:
+            assert found is None
     assert 300 < rejected < 600
 
 
 def test_type1_witness_skips_all_infinite_quadruples():
-    # {1, 2, 3, 4} is an infinite clique, so the first nine quadruples of
-    # the scan have three +inf pairing sums; (1, 2, 5, 6) has 0, 1 and +inf
+    # {1, 2, 3, 4} is an infinite clique, so most quadruples through the
+    # failing cell have three +inf pairing sums; (1, 2, 5, 6) has 0, 1 and
+    # +inf, and is also the first violation in lexicographic order
     entries = {(a, b): q.INF for a, b in itertools.combinations(range(1, 5), 2)}
     entries[(1, 5)] = 1.0
     inst = q.QuadraticInstance.from_entries(8, 3, entries)
@@ -704,18 +721,89 @@ def test_type1_witness_skips_all_infinite_quadruples():
 
 def test_type1_witness_deep_in_the_scan():
     # pair (n-1, n) moved so that a_12 + a_{n-1,n} is the one smallest sum
-    # of {1, 2, n-1, n}, one unit below the others: no earlier quadruple
-    # changes, so the witness sits about C(n-2, 2) quadruples into the scan
+    # of {1, 2, n-1, n}, one unit below the others: the lexicographically
+    # first violation sits about C(n-2, 2) quadruples into a scan, but the
+    # witness comes from the stopped pass, through the cell it failed on
     n = 120
     inst = q.gen_tree_metric_type1(n, n // 4, 3)
     a = inst.quad
     target = min(a[0, n - 2] + a[1, n - 1], a[0, n - 1] + a[1, n - 2]) - 1.0
     inst = q.perturb(inst, (n - 1, n), target - a[n - 2, n - 1] - a[0, 1])
     decomp = q.decompose_components(q.build_infinity_graph(inst))
-    assert q.find_violation_quadruple(inst, decomp, q.TYPE_I) == (1, 2, n - 1, n)
+    assert q.find_violation_quadruple(inst, decomp, q.TYPE_I) == (1, 65, n - 1, n)
     verdict = q.test_mconvexity(inst, explain=True)
-    assert verdict.witness.indices == (1, 2, n - 1, n)
+    assert verdict.witness.indices == (1, 65, n - 1, n)
     assert q.verify_witness(inst, verdict.witness)
+
+
+def _bottleneck_matrix(nm: q.NormalizedMatrix) -> np.ndarray:
+    """B[p, q] = the smallest gap between the visit positions of p and q,
+    from the running minima of a Prim pass with an infinite slack."""
+    order, gap, _ = q.fast_tester._prim_pass(nm, q.INF)
+    out = np.full((nm.n, nm.n), np.nan)
+    run = np.full(nm.n, q.INF)
+    for k in range(1, nm.n):
+        np.minimum(run[:k], gap[k], out=run[:k])
+        out[order[k], order[:k]] = out[order[:k], order[k]] = run[:k]
+    return out
+
+
+def test_type1_rejects_iff_bottleneck_excess_exceeds_slack():
+    # B is the smallest reversed ultrametric above R, so the pass's
+    # contract is max(B - R) <= slack: R within slack/2 of one
+    rng = np.random.default_rng(5)
+    cases = [boundary_case(rng) for _ in range(300)] + [_type1_case(rng) for _ in range(300)]
+    rejected = 0
+    for inst in cases:
+        nm, slack = q.normalize_type1(inst), inst.slack(1e-9)
+        b, reduced = _bottleneck_matrix(nm), nm.reduced
+        off = ~np.eye(inst.n, dtype=bool)
+        with np.errstate(invalid="ignore"):  # +inf on both sides is no excess
+            excess = np.where(b == reduced, 0.0, b - reduced)[off]
+        assert excess.min() >= -slack
+        accepted = q.check_anti_ultrametric(nm, slack)
+        assert accepted == (excess.max() <= slack)
+        rejected += not accepted
+    assert 300 < rejected < 600
+
+
+def test_type1_boundary_witnesses_verify(tmp_path, capsys):
+    # rejections that no quadruple certifies by more than the slack get a
+    # bottleneck path; explain exits 1 on every rejection, never 5
+    rng = np.random.default_rng(11)
+    path = tmp_path / "boundary.json"
+    kinds = {q.QUADRUPLE_VIOLATION: 0, q.BOTTLENECK_PATH: 0}
+    for _ in range(300):
+        inst = boundary_case(rng)
+        path.write_text(q.serialize_instance(inst))
+        code = cli_main(["explain", "--input", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        accepted = q.check_anti_ultrametric(q.normalize_type1(inst), inst.slack(1e-9))
+        assert doc["status"] == (q.M_CONVEX if accepted else q.NOT_M_CONVEX)
+        assert code == (0 if accepted else 1)
+        if not accepted:
+            witness = q.Witness(doc["witness"]["kind"], indices=tuple(doc["witness"]["indices"]))
+            assert q.verify_witness(inst, witness), witness
+            kinds[witness.kind] += 1
+    assert kinds[q.QUADRUPLE_VIOLATION] >= 100 and kinds[q.BOTTLENECK_PATH] >= 5, kinds
+
+
+def test_type1_integer_bump_witnesses_are_quadruples():
+    # a bump by a whole unit leaves a quadruple through the failing cell
+    rng = np.random.default_rng(23)
+    rejected = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 40))
+        inst = q.gen_tree_metric_type1(n, int(rng.integers(2, n - 2)), int(rng.integers(2**31)))
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+            inst = q.perturb(inst, (i, j), float(rng.choice((-2.0, -1.0, 1.0, 2.0))))
+        verdict = q.test_type1(inst)
+        if verdict.status == q.NOT_M_CONVEX:
+            rejected += 1
+            assert verdict.witness.kind == q.QUADRUPLE_VIOLATION, verdict.witness
+            assert q.verify_witness(inst, verdict.witness)
+    assert rejected > 150
 
 
 def test_find_violation_type2_roles():

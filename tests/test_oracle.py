@@ -319,6 +319,21 @@ def test_verify_witness_rejects_tampered():
     assert not q.verify_witness(golden_no(), bad_quad)
 
 
+def test_verify_bottleneck_path():
+    # golden_no is already reduced: a_15 = +inf and a_12 = 2 both exceed
+    # a_25 = 0, so the path 5, 1, 2 certifies; a_23 = 0 does not exceed
+    # a_13 = 1, and a path needs two edges and distinct ends joined finitely
+    inst = golden_no()
+    for path in ((5, 1, 2), (2, 1, 5), (5, 1, 3), (3, 4, 5)):
+        assert q.verify_witness(inst, q.Witness(q.BOTTLENECK_PATH, indices=path)), path
+    for path in ((1, 2, 3), (5, 2), (5,), (1, 2, 5), (5, 1, 2, 5), (5, 1, 6), (0, 1, 2)):
+        assert not q.verify_witness(inst, q.Witness(q.BOTTLENECK_PATH, indices=path)), path
+    # the global minimum cancels: adding 3 to every coefficient changes nothing
+    shifted = q.apply_potential(inst, [1.5] * 5)
+    assert q.verify_witness(shifted, q.Witness(q.BOTTLENECK_PATH, indices=(5, 1, 2)))
+    assert not q.verify_witness(shifted, q.Witness(q.BOTTLENECK_PATH, indices=(1, 2, 3)))
+
+
 def test_quadruple_violated_uses_min_multiplicity():
     # pairing sums 4 > 2 > 0: minimum attained once, violated
     assert q.quadruple_violated(golden_no(), 1, 2, 3, 4)
