@@ -15,6 +15,7 @@ from .core import (
     EXIT_CODES,
     INF,
     INVALID_INSTANCE,
+    MIN_EPSILON,
     M_CONVEX,
     NOT_M_CONVEX,
     QUADRUPLE_VIOLATION,
@@ -36,7 +37,6 @@ from .core import (
 from .fast_tester import (
     DEFAULT_BRUTE_FORCE_BUDGET,
     LaminarFamily,
-    LaminarNode,
     NormalizedMatrix,
     check_anti_ultrametric,
     decompose,

@@ -10,12 +10,13 @@ scripts can diff it.
 Exit codes: 0 m_convex, 1 not_m_convex, 2 undecided, 3 invalid instance
 or option value (a usage error such as an unknown flag, a --budget,
 --repeats, --n or --r that is not a positive integer, an epsilon that is
-not a finite positive number, a gen or bench n, r, size or seed that the
-generators refuse, a gen --n or --sizes that does not fit the kind's
-component count, a gen option that the kind does not take), 4 I/O error
-or out of memory (an n too large for the n x n matrix), 5 internal
-inconsistency (a bug).  Codes 3 to 5 print one ``error:`` line on stderr.
-The relative tolerance eps is --epsilon, else MCONVEX_EPSILON, else 1e-9.
+not a finite positive number or is below MIN_EPSILON = 1e-15, a gen or
+bench n, r, size or seed that the generators refuse, a gen --n or
+--sizes that does not fit the kind's component count, a gen option that
+the kind does not take), 4 I/O error or out of memory (an n too large
+for the n x n matrix), 5 internal inconsistency (a bug).  Codes 3 to 5
+print one ``error:`` line on stderr.  The relative tolerance eps is
+--epsilon, else MCONVEX_EPSILON, else 1e-9.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import __version__, fast_tester, generators, oracle, structure
 from .core import (
     DEFAULT_EPSILON,
     EXIT_CODES,
+    MIN_EPSILON,
     BudgetExceededError,
     InstanceFormatError,
     InternalInconsistencyError,
@@ -45,7 +47,8 @@ _GEN_N = 8
 
 
 def _read_epsilon(args: argparse.Namespace) -> float:
-    """--epsilon, else MCONVEX_EPSILON, else the default: finite and positive."""
+    """--epsilon, else MCONVEX_EPSILON, else the default: finite and at
+    least MIN_EPSILON."""
     source, text = "--epsilon", args.epsilon
     if text is None:
         source, text = "MCONVEX_EPSILON", os.environ.get("MCONVEX_EPSILON", repr(DEFAULT_EPSILON))
@@ -55,6 +58,8 @@ def _read_epsilon(args: argparse.Namespace) -> float:
         eps = math.nan
     if not (math.isfinite(eps) and eps > 0):
         raise InstanceFormatError(f"{source} must be a finite positive number, got {text!r}")
+    if eps < MIN_EPSILON:
+        raise InstanceFormatError(f"{source} must be at least {MIN_EPSILON!r}, got {text!r}")
     return eps
 
 

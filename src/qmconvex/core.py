@@ -30,6 +30,14 @@ INF = math.inf
 #: Default relative tolerance eps; comparisons allow eps * instance.scale.
 DEFAULT_EPSILON = 1e-9
 
+#: Smallest eps accepted.  Below it the slack is smaller than the rounding
+#: between two float expressions of one reduced entry (the type I pass and
+#: the witness checker subtract the offsets in different orders), so
+#: verdicts and witnesses follow rounding: at eps = 1e-16 most
+#: potential-shifted tree metrics are rejected, some with witnesses that do
+#: not verify, and from about 4.4e-16 up none is.
+MIN_EPSILON = 1e-15
+
 # Verdict statuses.
 M_CONVEX = "m_convex"
 NOT_M_CONVEX = "not_m_convex"
@@ -162,7 +170,10 @@ class QuadraticInstance:
         return float(max(1.0, hi, -lo, np.abs(self.linear).max()))
 
     def slack(self, eps: float) -> float:
-        """Absolute slack of every tolerant comparison on this instance."""
+        """Absolute slack of every tolerant comparison on this instance;
+        raises ValueError when eps is below MIN_EPSILON (or NaN)."""
+        if not eps >= MIN_EPSILON:
+            raise ValueError(f"eps must be at least MIN_EPSILON = {MIN_EPSILON!r}, got {eps!r}")
         return eps * self.scale
 
     def pair(self, i: int, j: int) -> float:

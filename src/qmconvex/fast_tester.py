@@ -15,8 +15,9 @@ matrix R, so the pass rejects iff max(B - R) > slack: it accepts iff R
 lies within slack/2 of an exact reversed ultrametric at the row-minimum
 normalization (Farach, Kannan & Warnow 1995).  A rejection's witness is
 read off the stopped pass.  The laminar plateau family (``decompose``) is
-the Cartesian tree of the same gaps, kept as a certificate API;
-``reconstruct`` reads a family back by the same rule.
+that pass's layout, run without the row check: its order and gaps, 2n
+numbers; ``sets`` groups the gaps into plateaus and ``reconstruct`` reads
+the family back as the running minimum of the gaps.
 
 Type II and III instances reduce to additive rank-one structure on cross
 blocks.  The big components are laid end to end once.  Each one's rows
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +75,9 @@ class NormalizedMatrix:
 
     global_min is the smallest pair coefficient overall; row_offsets[i] is
     the surplus of row i's minimum over global_min; matrix holds the
-    coefficients as given.  ``reduced`` subtracts both endpoint offsets
-    from every pair (infinite entries stay infinite); it is built on first
-    read, which only tests do: the Prim pass reduces one row at a time.
-    On instances that pass the type-I test, every row of ``reduced``
+    coefficients as given.  The Prim pass subtracts both endpoint offsets
+    from a row's pairs when it visits the row, so the reduced matrix is
+    never built.  On instances that pass the type-I test, every reduced row
     attains global_min.
     """
 
@@ -90,61 +89,50 @@ class NormalizedMatrix:
     #: by slack, so that a rejection's witness reads the pass that decided
     passes: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def reduced(self) -> np.ndarray:
-        off = self.row_offsets
-        return self.matrix - off[:, None] - off[None, :]
-
-
-@dataclass(eq=False)
-class LaminarNode:
-    """One plateau: a vertex set with its coefficient value.
-
-    ``direct`` holds the 0-based members not owned by any child.  The
-    node's full member set is the union of its subtree's direct members.
-    """
-
-    value: float
-    direct: list[int] = field(default_factory=list)
-    children: list["LaminarNode"] = field(default_factory=list)
-
 
 @dataclass(frozen=True, eq=False)
 class LaminarFamily:
-    """Nested plateau sets certifying the reversed ultrametric inequality.
+    """Nested plateau sets as the Prim layout: 2n numbers.
 
-    The root covers all of [n]; strictly deeper sets carry strictly larger
-    values (possibly +inf).  Listing each node's direct members and then
-    its children's, depth first, lays every plateau out as one contiguous
-    range of positions; ``sets`` and ``reconstruct`` both read that layout.
+    order is the visit order of a Prim pass with no slack limit and gap[p],
+    for p >= 1, the weight at which order[p] joined; gap[0] is the root's
+    value, global_min.  Every plateau is a contiguous range of positions,
+    and the value between positions p < q is min(gap[p+1..q]).  Both
+    arrays are kept as read-only copies.
     """
 
-    n: int
-    root: LaminarNode
+    order: np.ndarray
+    gap: np.ndarray
 
-    def _layout(self) -> tuple[list[int], list[tuple[LaminarNode, int, int]]]:
-        """Members in depth-first order, and every node in preorder with
-        the range [start, end) of the positions its subtree holds."""
-        order: list[int] = []
-        ranges: list[tuple[LaminarNode, int, int]] = []
-        # iterative, so deep chains do not recurse; a node comes back with
-        # its slot in ranges once its subtree is laid out
-        todo: list[tuple[LaminarNode, int | None]] = [(self.root, None)]
-        while todo:
-            node, slot = todo.pop()
-            if slot is not None:
-                ranges[slot] = (node, ranges[slot][1], len(order))
-                continue
-            todo.append((node, len(ranges)))
-            ranges.append((node, len(order), len(order)))
-            order.extend(node.direct)
-            todo.extend((child, None) for child in reversed(node.children))
-        return order, ranges
+    def __post_init__(self) -> None:
+        for name in ("order", "gap"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).flags.writeable = False
 
-    def sets(self) -> list[tuple[frozenset, float]]:
-        """All (member set, value) pairs, 1-based, in preorder."""
-        order, ranges = self._layout()
-        return [(frozenset(i + 1 for i in order[s:e]), node.value) for node, s, e in ranges]
+    def sets(self, slack: float = DEFAULT_EPSILON) -> list[tuple[frozenset, float]]:
+        """All (member set, value) pairs, 1-based, in preorder.
+
+        One stack walk over the positions, the root open at gap[0]: a gap
+        more than ``slack`` below the open plateau closes plateaus, one more
+        than ``slack`` above it opens a nested one from position p-1 (or the
+        plateau just closed) to p, and one within the slack joins it.  Each
+        plateau is a range [start, end) of positions and values grow
+        strictly with depth, so (start, -end, value) orders them in preorder.
+        """
+        order, gap = self.order.tolist(), self.gap.tolist()
+        n = len(order)
+        ranges = []
+        stack = [(0, gap[0])]  # the open plateaus as (start, value), root first
+        for p in range(1, n):
+            start = p - 1
+            while len(stack) > 1 and approx_gt(stack[-1][1], gap[p], slack):
+                start, value = stack.pop()
+                ranges.append((start, p, value))
+            if approx_gt(gap[p], stack[-1][1], slack):
+                stack.append((start, gap[p]))
+        ranges += [(start, n, value) for start, value in stack]
+        ranges.sort(key=lambda r: (r[0], -r[1], r[2]))
+        return [(frozenset(i + 1 for i in order[s:e]), value) for s, e, value in ranges]
 
 
 def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
@@ -162,60 +150,22 @@ def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
     return NormalizedMatrix(instance.n, global_min, row_min - global_min, instance.quad)
 
 
-def decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
-    """Nested plateaus: the Cartesian tree of the Prim pass's gaps, O(n^2).
-
-    The pass runs with an infinite slack, so no row stops it.  One stack
-    walk over the positions builds the family: the root sits at
-    global_min; a gap more than ``slack`` (the instance's absolute slack)
-    above the open node opens a child holding positions p-1 and p (the
-    node just closed, if any, in place of p-1); a gap more than ``slack``
-    below it closes nodes; a gap within it merges.  Direct members are
-    listed in visit order.
-    """
+def decompose(normalized: NormalizedMatrix) -> LaminarFamily:
+    """Nested plateaus: the layout of a Prim pass with an infinite slack,
+    so that no row stops it, O(n^2).  The root's value goes in gap[0]."""
     order, gap, _ = _prim_pass(normalized, math.inf)
-    order, gap = order.tolist(), gap.tolist()
-    root = LaminarNode(value=normalized.global_min, direct=[order[0]])
-    stack = [root]  # the open nodes, root first, values strictly increasing
-    for g, v in zip(gap[1:], order[1:]):
-        closed = None
-        while len(stack) > 1 and approx_gt(stack[-1].value, g, slack):
-            closed = stack.pop()
-        top = stack[-1]
-        if not approx_gt(g, top.value, slack):
-            top.direct.append(v)
-            continue
-        if closed is None:  # the previous position is the open node's last direct member
-            child = LaminarNode(value=g, direct=[top.direct.pop(), v])
-        else:  # the closed node is the open node's last child
-            child = LaminarNode(value=g, direct=[v], children=[top.children.pop()])
-        top.children.append(child)
-        stack.append(child)
-    return LaminarFamily(normalized.n, root)
+    gap[0] = normalized.global_min
+    return LaminarFamily(order, gap)
 
 
-def reconstruct(family: LaminarFamily, n: int) -> np.ndarray:
-    """Matrix implied by the family: each pair gets the value of the
-    smallest plateau containing both indices.
-
-    Each plateau, in preorder, writes its value over gap[start+1:end] of
-    the family's layout, so gap[p] ends as the value of the smallest
-    plateau holding positions p-1 and p.  Values grow with depth, so the
-    pair at positions p < q gets min(gap[p+1..q]), a running minimum as in
-    the Prim pass.  O(n^2) total.  Raises InternalInconsistencyError
-    unless the layout holds 0..n-1 once each and every plateau of two or
-    more members lies above its parent.
-    """
-    order, ranges = family._layout()
-    order = np.asarray(order, dtype=np.intp)
+def reconstruct(family: LaminarFamily) -> np.ndarray:
+    """Matrix implied by the family: the pair at positions p < q gets
+    min(gap[p+1..q]), the value of the smallest plateau holding both, as a
+    running minimum like the Prim pass's, O(n^2).  Raises
+    InternalInconsistencyError unless order permutes 0..len(gap)-1."""
+    order, gap, n = family.order, family.gap, family.gap.size
     if not np.array_equal(np.sort(order), np.arange(n)):
-        raise InternalInconsistencyError("laminar family does not lay out 0..n-1 once each")
-    gap = np.full(n, -math.inf)
-    for node, start, end in ranges:
-        # gap[start+1] still holds the value of the enclosing plateau
-        if end - start > 1 and not node.value > gap[start + 1]:
-            raise InternalInconsistencyError("a plateau's value is not above its parent's")
-        gap[start + 1:end] = node.value
+        raise InternalInconsistencyError("laminar family order is not a permutation of 0..n-1")
     out = np.full((n, n), np.nan)
     bottleneck = np.full(n, math.inf)  # min(gap[p+1..k]) for positions p < k
     for k in range(1, n):

@@ -8,8 +8,8 @@ scale, which ``_slack`` computes from the coefficients.  The breadth-first
 component search and path-walk witness for condition B are the
 adjacency-list versions that the mask passes in ``qmconvex.structure``
 replaced.  The pivot partition builds the laminar plateau family from the
-whole reduced matrix, as ``qmconvex.fast_tester.decompose`` did before it
-became the Cartesian tree of the Prim pass's gaps.  The exchange-axiom loop
+whole reduced matrix (``reduced``), as ``qmconvex.fast_tester.decompose``
+did before it became the layout of the Prim pass.  The exchange-axiom loop
 evaluates every swapped pair of points by dictionary lookup, as
 ``qmconvex.oracle.exchange_axiom_holds`` did before it checked the axiom
 in delta form on arrays; it is that code unchanged, so it takes its slack
@@ -37,8 +37,6 @@ from qmconvex import (
     NOT_M_CONVEX,
     BudgetExceededError,
     InstanceFormatError,
-    LaminarFamily,
-    LaminarNode,
     NormalizedMatrix,
     QuadraticInstance,
     Verdict,
@@ -203,8 +201,18 @@ def anti_ultrametric_triples(matrix: np.ndarray, slack: float = 1e-9) -> bool:
     return not bool((_violates_ge(lhs, rhs, slack) & distinct).any())
 
 
-def pivot_decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON) -> LaminarFamily:
-    """Split [n] into nested plateaus by repeated pivot partitioning.
+def reduced(normalized: NormalizedMatrix) -> np.ndarray:
+    """The reduced matrix, built whole: each pair less both endpoint
+    offsets (infinite entries stay infinite)."""
+    off = normalized.row_offsets
+    return normalized.matrix - off[:, None] - off[None, :]
+
+
+def pivot_decompose(
+    normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
+) -> list[tuple[frozenset, float]]:
+    """Split [n] into nested plateaus by repeated pivot partitioning; the
+    plateaus as (1-based member set, value) pairs, the root first.
 
     Each step takes the smallest index of the current set as pivot,
     gathers the pivot-row minimum e and its argmin set X, records the
@@ -213,41 +221,27 @@ def pivot_decompose(normalized: NormalizedMatrix, slack: float = DEFAULT_EPSILON
     on singletons and below +inf plateaus.  O(n^2) total.  ``slack`` is
     the instance's absolute slack (the default suits a unit scale).
     """
-    reduced = normalized.reduced
-    root = LaminarNode(value=normalized.global_min)
-    stack: list[tuple[np.ndarray, float, LaminarNode]] = [
-        (np.arange(normalized.n, dtype=np.intp), normalized.global_min, root)
-    ]
+    matrix = reduced(normalized)
+    plateaus = [(frozenset(range(1, normalized.n + 1)), normalized.global_min)]
+    stack = [(np.arange(normalized.n, dtype=np.intp), normalized.global_min)]
     while stack:
-        members, inherited, parent = stack.pop()
+        members, inherited = stack.pop()
         if members.size <= 1 or math.isinf(inherited):
-            parent.direct.extend(int(v) for v in members)
             continue
         pivot = members[0]
         rest = members[1:]
-        row = reduced[pivot, rest]
+        row = matrix[pivot, rest]
         e = float(row.min())
         mask = approx_eq_array(row, e, slack)
         argmin = rest[mask]
         complement = np.concatenate(([pivot], rest[~mask]))
-        node = parent
         value = inherited
         if approx_gt(e, inherited, slack):
-            node = LaminarNode(value=e)
-            parent.children.append(node)
+            plateaus.append((frozenset(int(v) + 1 for v in members), e))
             value = e
-        stack.append((complement, value, node))
-        stack.append((argmin, value, node))
-    _sort_directs(root)
-    return LaminarFamily(normalized.n, root)
-
-
-def _sort_directs(root: LaminarNode) -> None:
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        node.direct.sort()
-        todo.extend(node.children)
+        stack.append((complement, value))
+        stack.append((argmin, value))
+    return plateaus
 
 
 def exchange_axiom_by_loop(

@@ -207,7 +207,7 @@ def test_criterion_5_laminar_certificate_suite():
         base = float(matrix[off].min())
         normalized = q.NormalizedMatrix(n, base, np.zeros(n), matrix)
         family = q.decompose(normalized)
-        rebuilt = q.reconstruct(family, n)
+        rebuilt = q.reconstruct(family)
         assert np.array_equal(np.isinf(rebuilt), np.isinf(matrix))
         finite = np.isfinite(matrix)
         assert np.allclose(rebuilt[finite], matrix[finite], rtol=0, atol=1e-9)

@@ -23,6 +23,7 @@ from reference import (
     first_cross_quadruple,
     first_violating_quadruple,
     pivot_decompose,
+    reduced,
     scan_anti_tree_metric,
     scan_type2_equalities,
     scan_type3_equalities,
@@ -37,8 +38,8 @@ def normalized_from(matrix: np.ndarray) -> q.NormalizedMatrix:
     return q.NormalizedMatrix(n, base, np.zeros(n), matrix)
 
 
-def family_sets(family: q.LaminarFamily) -> set:
-    return {(tuple(sorted(s)), c) for s, c in family.sets()}
+def family_sets(sets: list[tuple[frozenset, float]]) -> set:
+    return {(tuple(sorted(s)), c) for s, c in sets}
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_normalize_golden_no_is_already_reduced():
     nm = q.normalize_type1(golden_no())
     assert nm.global_min == 0.0
     assert np.all(nm.row_offsets == 0.0)
-    assert np.array_equal(nm.reduced, golden_no().quad, equal_nan=True)
+    assert np.array_equal(reduced(nm), golden_no().quad, equal_nan=True)
 
 
 def test_normalize_all_zero():
@@ -66,7 +67,7 @@ def test_normalize_row_minima_after_potential():
         p = rng.integers(0, 6, size=6).astype(float)
         inst = q.apply_potential(all_zero(6, 3), p)
         nm = q.normalize_type1(inst)
-        with_diag = np.where(np.eye(6, dtype=bool), np.inf, nm.reduced)
+        with_diag = np.where(np.eye(6, dtype=bool), np.inf, reduced(nm))
         assert np.allclose(with_diag.min(axis=1), nm.global_min)
 
 
@@ -79,7 +80,7 @@ def test_normalize_row_minima_on_accepted_instances():
         inst = q.gen_tree_metric_type1(n, int(rng.integers(2, n - 1)), int(rng.integers(1 << 30)))
         assert scan_anti_tree_metric(inst)
         nm = q.normalize_type1(inst)
-        with_diag = np.where(np.eye(n, dtype=bool), np.inf, nm.reduced)
+        with_diag = np.where(np.eye(n, dtype=bool), np.inf, reduced(nm))
         row_min = with_diag.min(axis=1)
         assert np.allclose(row_min, nm.global_min, rtol=0, atol=1e-9)
 
@@ -98,7 +99,7 @@ def test_normalize_rejects_all_infinite_row():
 
 def test_decompose_all_zero_single_plateau():
     family = q.decompose(normalized_from(np.where(np.eye(4), np.nan, 0.0)))
-    assert family_sets(family) == {((1, 2, 3, 4), 0.0)}
+    assert family_sets(family.sets()) == {((1, 2, 3, 4), 0.0)}
 
 
 def test_decompose_two_plateaus():
@@ -107,12 +108,12 @@ def test_decompose_two_plateaus():
     m[2, 3] = m[3, 2] = 3.0
     np.fill_diagonal(m, np.nan)
     family = q.decompose(normalized_from(m))
-    assert family_sets(family) == {
+    assert family_sets(family.sets()) == {
         ((1, 2, 3, 4), 1.0),
         ((3, 4), 3.0),
         ((1, 2), 5.0),
     }
-    assert np.array_equal(q.reconstruct(family, 4), m, equal_nan=True)
+    assert np.array_equal(q.reconstruct(family), m, equal_nan=True)
     assert anti_ultrametric_triples(m)
 
 
@@ -121,23 +122,20 @@ def test_decompose_infinite_plateau():
     m[0, 1] = m[1, 0] = np.inf
     np.fill_diagonal(m, np.nan)
     family = q.decompose(normalized_from(m))
-    assert family_sets(family) == {((1, 2, 3, 4), 0.0), ((1, 2), np.inf)}
-    assert np.array_equal(q.reconstruct(family, 4), m, equal_nan=True)
+    assert family_sets(family.sets()) == {((1, 2, 3, 4), 0.0), ((1, 2), np.inf)}
+    assert np.array_equal(q.reconstruct(family), m, equal_nan=True)
 
 
 def test_reconstruct_hand_built_families():
-    root = q.LaminarNode(0.0, direct=[0, 1, 2, 3])
+    family = q.LaminarFamily(np.arange(4), np.zeros(4))
     assert np.array_equal(
-        q.reconstruct(q.LaminarFamily(4, root), 4),
-        np.where(np.eye(4), np.nan, 0.0),
-        equal_nan=True,
+        q.reconstruct(family), np.where(np.eye(4), np.nan, 0.0), equal_nan=True
     )
 
-    inner_a = q.LaminarNode(5.0, direct=[0, 1])
-    inner_b = q.LaminarNode(3.0, direct=[2, 3])
-    root = q.LaminarNode(1.0, direct=[], children=[inner_b, inner_a])
-    out = q.reconstruct(q.LaminarFamily(4, root), 4)
-    assert q.LaminarFamily(4, root).sets() == [  # preorder, children in order
+    # root 1 over {3,4} at 3 and {1,2} at 5, laid out 3, 4, 1, 2
+    family = q.LaminarFamily(np.array([2, 3, 0, 1]), np.array([1.0, 3.0, 1.0, 5.0]))
+    out = q.reconstruct(family)
+    assert family.sets() == [  # preorder, plateaus in layout order
         (frozenset({1, 2, 3, 4}), 1.0), (frozenset({3, 4}), 3.0), (frozenset({1, 2}), 5.0)
     ]
     expected = np.full((4, 4), 1.0)
@@ -146,35 +144,41 @@ def test_reconstruct_hand_built_families():
     np.fill_diagonal(expected, np.nan)
     assert np.array_equal(out, expected, equal_nan=True)
 
-    inf_node = q.LaminarNode(np.inf, direct=[0, 1])
-    root = q.LaminarNode(0.0, direct=[2, 3], children=[inf_node])
-    out = q.reconstruct(q.LaminarFamily(4, root), 4)
+    family = q.LaminarFamily(np.arange(4), np.array([0.0, np.inf, 0.0, 0.0]))
+    out = q.reconstruct(family)
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = np.inf
     np.fill_diagonal(expected, np.nan)
     assert np.array_equal(out, expected, equal_nan=True)
 
-    # plateau k holds k..n-1 at value k, 1500 deep: no recursion, and the
-    # pair (i, j) gets the value of plateau min(i, j)
+    # gap[p] = p - 1 nests plateau k, positions k..n-1 at value k, 1500
+    # deep: no recursion, and the pair (i, j) gets min(i, j)
     n = 1501
-    node = q.LaminarNode(float(n - 2), direct=[n - 2, n - 1])
-    for k in range(n - 3, -1, -1):
-        node = q.LaminarNode(float(k), direct=[k], children=[node])
-    out = q.reconstruct(q.LaminarFamily(n, node), n)
+    family = q.LaminarFamily(np.arange(n), np.arange(n) - 1.0)
+    out = q.reconstruct(family)
     expected = np.minimum.outer(np.arange(n), np.arange(n)).astype(float)
     np.fill_diagonal(expected, np.nan)
     assert np.array_equal(out, expected, equal_nan=True)
+    sets = family.sets()
+    assert len(sets) == n and sets[-1] == (frozenset({n - 1, n}), n - 2.0)
 
 
-@pytest.mark.parametrize("root", [
-    q.LaminarNode(0.0, direct=[0, 1, 2]),  # misses index 3
-    q.LaminarNode(0.0, direct=[0, 1, 2], children=[q.LaminarNode(1.0, direct=[2, 3])]),
-    q.LaminarNode(1.0, direct=[2, 3], children=[q.LaminarNode(1.0, direct=[0, 1])]),
-    q.LaminarNode(1.0, direct=[2, 3], children=[q.LaminarNode(0.5, direct=[0, 1])]),
-], ids=["missing", "repeated", "tied-child", "lower-child"])
-def test_reconstruct_refuses_broken_families(root):
+@pytest.mark.parametrize("order", [
+    [0, 1, 2],  # misses index 3
+    [0, 1, 2, 2],
+], ids=["missing", "repeated"])
+def test_reconstruct_refuses_broken_families(order):
     with pytest.raises(q.InternalInconsistencyError):
-        q.reconstruct(q.LaminarFamily(4, root), 4)
+        q.reconstruct(q.LaminarFamily(np.array(order), np.zeros(4)))
+
+
+def test_laminar_family_is_read_only():
+    order, gap = np.arange(3), np.zeros(3)
+    family = q.LaminarFamily(order, gap)
+    order[0] = gap[0] = 7  # the family holds copies
+    assert family.order[0] == 0 and family.gap[0] == 0.0
+    with pytest.raises(ValueError):
+        family.gap[1] = 1.0
 
 
 def test_golden_no_laminar_family():
@@ -188,12 +192,15 @@ def test_golden_no_laminar_family():
         ((1, 5), np.inf),
     }
     # Prim from index 1 visits 1, 5, 2, 3, 4 with join weights inf (a_15),
-    # 2 (a_12), 1 (a_13, the first of the tied a_13 and a_45) and 2 (a_34).
-    # The root sits at global_min 0.  inf opens {1,5}; 2 closes it and
-    # opens {1,2,5} around it; 1 closes that and opens {1,2,3,5} around
-    # it; 2 opens {3,4} from the last two positions.  No gap is 0, so the
-    # root holds no member and its only child also covers 1..5.
-    assert family_sets(q.decompose(nm)) == {
+    # 2 (a_12), 1 (a_13, the first of the tied a_13 and a_45) and 2 (a_34);
+    # the root's value, global_min 0, goes in gap[0].  Read as plateaus:
+    # inf opens {1,5}; 2 closes it and opens {1,2,5} around it; 1 closes
+    # that and opens {1,2,3,5} around it; 2 opens {3,4} from the last two
+    # positions.  No gap is 0, so the root's only child also covers 1..5.
+    family = q.decompose(nm)
+    assert family.order.tolist() == [0, 4, 1, 2, 3]
+    assert family.gap.tolist() == [0.0, np.inf, 2.0, 1.0, 2.0]
+    assert family_sets(family.sets()) == {
         ((1, 2, 3, 4, 5), 0.0),
         ((1, 2, 3, 4, 5), 1.0),
         ((1, 2, 5), 2.0),
@@ -217,8 +224,8 @@ def test_decompose_matches_pivot_partition_on_yes_instances():
             inst = q.apply_potential(inst, rng.integers(-4, 5, size=n).astype(float))
             nm, slack = q.normalize_type1(inst), inst.slack(1e-9)
         assert q.check_anti_ultrametric(nm, slack)
-        got = sorted(q.decompose(nm, slack).sets(), key=lambda sv: sorted(sv[0]))
-        want = sorted(pivot_decompose(nm, slack).sets(), key=lambda sv: sorted(sv[0]))
+        got = sorted(q.decompose(nm).sets(slack), key=lambda sv: sorted(sv[0]))
+        want = sorted(pivot_decompose(nm, slack), key=lambda sv: sorted(sv[0]))
         assert [s for s, _ in got] == [s for s, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a == b or abs(a - b) <= slack
@@ -252,17 +259,16 @@ def test_laminar_invariants_on_arbitrary_input():
         # nestedness: pairwise nested or disjoint, ground set present
         universe = frozenset(range(1, n + 1))
         assert sets[0][0] == universe
-        for (s1, _), (s2, _) in itertools.combinations(sets, 2):
+        for (s1, c1), (s2, c2) in itertools.combinations(sets, 2):
             assert s1 <= s2 or s2 <= s1 or not (s1 & s2)
-        # strict monotonicity along the tree (+inf beats any finite value)
-        def walk(node, parent_value):
-            assert node.value > parent_value
-            for child in node.children:
-                walk(child, node.value)
-        for child in family.root.children:
-            walk(child, family.root.value)
+            # preorder, and strict value growth along nesting (+inf beats
+            # any finite value): a later set never holds an earlier one
+            # strictly, and a later set inside an earlier one lies deeper
+            assert not s1 < s2
+            if s2 <= s1:
+                assert c2 > c1
         # reconstruction covers every off-diagonal pair
-        rebuilt = q.reconstruct(family, n)
+        rebuilt = q.reconstruct(family)
         off = ~np.eye(n, dtype=bool)
         assert not np.isnan(rebuilt[off]).any()
         # every pair equals the value of the smallest containing set; on
@@ -290,7 +296,7 @@ def test_check_anti_ultrametric_matches_triple_scan():
         got = q.check_anti_ultrametric(nm)
         assert got == anti_ultrametric_triples(m)
         # the kept certificate agrees with the decision
-        assert got == np.array_equal(q.reconstruct(q.decompose(nm), n), m, equal_nan=True)
+        assert got == np.array_equal(q.reconstruct(q.decompose(nm)), m, equal_nan=True)
         accepted += got
         rejected += not got
     assert accepted > 30 and rejected > 30
@@ -307,7 +313,7 @@ def test_check_anti_ultrametric_matches_triple_scan():
         assert nm.row_offsets.any()
         slack = inst.slack(1e-9)
         got = q.check_anti_ultrametric(nm, slack)
-        assert got == anti_ultrametric_triples(nm.reduced, slack)
+        assert got == anti_ultrametric_triples(reduced(nm), slack)
         accepted += got
         rejected += not got
     assert accepted > 20 and rejected > 20
@@ -334,8 +340,9 @@ def test_check_anti_ultrametric_golden_no_rejects():
     nm = q.normalize_type1(golden_no())
     assert not q.check_anti_ultrametric(nm)
     # the direct triple scan finds the same answer, e.g. at (1, 4, 3)
-    assert not anti_ultrametric_triples(nm.reduced)
-    assert nm.reduced[0, 3] < min(nm.reduced[0, 2], nm.reduced[3, 2])
+    r = reduced(nm)
+    assert not anti_ultrametric_triples(r)
+    assert r[0, 3] < min(r[0, 2], r[3, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +379,8 @@ def test_type1_builds_no_square_matrix():
         assert verdict.status == want
         assert peak < n * n, peak
     # the laminar family comes from the same pass, not the reduced matrix
-    slack = yes.slack(1e-9)
-    family, peak = traced_peak(lambda: q.decompose(q.normalize_type1(yes), slack))
-    assert family.root.value == q.normalize_type1(yes).global_min
+    family, peak = traced_peak(lambda: q.decompose(q.normalize_type1(yes)))
+    assert family.gap[0] == q.normalize_type1(yes).global_min
     assert peak < n * n, peak
 
 
@@ -750,16 +756,18 @@ def _bottleneck_matrix(nm: q.NormalizedMatrix) -> np.ndarray:
 
 def test_type1_rejects_iff_bottleneck_excess_exceeds_slack():
     # B is the smallest reversed ultrametric above R, so the pass's
-    # contract is max(B - R) <= slack: R within slack/2 of one
+    # contract is max(B - R) <= slack: R within slack/2 of one.  The
+    # laminar family is the certificate: reconstruct(decompose) is B
     rng = np.random.default_rng(5)
     cases = [boundary_case(rng) for _ in range(300)] + [_type1_case(rng) for _ in range(300)]
     rejected = 0
     for inst in cases:
         nm, slack = q.normalize_type1(inst), inst.slack(1e-9)
-        b, reduced = _bottleneck_matrix(nm), nm.reduced
+        b = q.reconstruct(q.decompose(nm))
+        assert np.array_equal(b, _bottleneck_matrix(nm), equal_nan=True)
         off = ~np.eye(inst.n, dtype=bool)
         with np.errstate(invalid="ignore"):  # +inf on both sides is no excess
-            excess = np.where(b == reduced, 0.0, b - reduced)[off]
+            excess = np.where(b == reduced(nm), 0.0, b - reduced(nm))[off]
         assert excess.min() >= -slack
         accepted = q.check_anti_ultrametric(nm, slack)
         assert accepted == (excess.max() <= slack)

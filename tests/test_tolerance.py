@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmconvex as q
+from qmconvex.cli import main
 from reference import scan_anti_tree_metric, scan_type2_equalities, scan_type3_equalities
 
 EPS = q.DEFAULT_EPSILON
@@ -134,3 +135,32 @@ def test_slack_scales_with_the_largest_finite_coefficient():
     assert q.QuadraticInstance.from_entries(4, 2, {(1, 2): 0.25}).scale == 1.0
     assert q.QuadraticInstance.from_entries(4, 2, linear=[0, -7, 0, 0]).scale == 7.0
     assert q.QuadraticInstance.from_entries(4, 2, {(1, 2): q.INF}).scale == 1.0
+
+
+def test_epsilon_floor(tmp_path, capsys, monkeypatch):
+    # below MIN_EPSILON the slack drops under the rounding between the pass's
+    # and the checker's float expressions of one reduced entry: at eps = 1e-16
+    # this recipe rejects 274 of 300 yes-instances, 28 of them with witnesses
+    # that fail verify_witness; at the floor it rejects none
+    rejected = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 26))
+        inst = q.apply_potential(
+            q.gen_tree_metric_type1(n, 2, seed), rng.uniform(-0.37, 0.37, n)
+        )
+        rejected += q.test_mconvexity(inst, eps=q.MIN_EPSILON).status != q.M_CONVEX
+    assert rejected == 0
+    for eps in (1e-16, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            inst.slack(eps)
+    path = tmp_path / "tree.json"
+    path.write_text(q.serialize_instance(inst))
+    assert main(["test", "--input", str(path), "--epsilon", "1e-16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --epsilon must be at least 1e-15, got '1e-16'\n"
+    monkeypatch.setenv("MCONVEX_EPSILON", "1e-16")
+    assert main(["test", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == "error: MCONVEX_EPSILON must be at least 1e-15, got '1e-16'\n"
+    assert main(["test", "--input", str(path), "--epsilon", "1e-15"]) == 0
