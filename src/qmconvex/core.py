@@ -91,6 +91,14 @@ def approx_gt(x: float, y: float, slack: float = DEFAULT_EPSILON) -> bool:
     return x > y + slack
 
 
+def check_epsilon(eps: float) -> float:
+    """eps itself; raises ValueError when it is below MIN_EPSILON (or NaN).
+    Every entry point that takes eps runs this before any early return."""
+    if not eps >= MIN_EPSILON:
+        raise ValueError(f"eps must be at least MIN_EPSILON = {MIN_EPSILON!r}, got {eps!r}")
+    return eps
+
+
 # ---------------------------------------------------------------------------
 # Instance model
 
@@ -172,9 +180,7 @@ class QuadraticInstance:
     def slack(self, eps: float) -> float:
         """Absolute slack of every tolerant comparison on this instance;
         raises ValueError when eps is below MIN_EPSILON (or NaN)."""
-        if not eps >= MIN_EPSILON:
-            raise ValueError(f"eps must be at least MIN_EPSILON = {MIN_EPSILON!r}, got {eps!r}")
-        return eps * self.scale
+        return check_epsilon(eps) * self.scale
 
     def pair(self, i: int, j: int) -> float:
         """Coefficient of the pair {i, j}, 1-based."""

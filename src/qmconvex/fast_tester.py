@@ -36,8 +36,9 @@ which decides and names the witness, so explain mode costs O(n^2) too.
 A type I witness is a violating quadruple through the failing cell and
 the failing index's tree parent when one exists (rule (i), one vector
 pass), else the Prim-tree path between the failing cell's ends, each of
-whose reduced edges exceeds the cell by more than the slack.  That path
-certifies the l-infinity contract above, not a violating quadruple.
+whose reduced edges exceeds the cell by more than the slack, walked
+along the tree parents that the pass records.  That path certifies the
+l-infinity contract above, not a violating quadruple.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .core import (
     Witness,
     approx_eq_array,
     approx_gt,
+    check_epsilon,
 )
 from .structure import DOM_EMPTY, TYPE_I, TYPE_II, TYPE_III
 
@@ -85,7 +87,7 @@ class NormalizedMatrix:
     global_min: float
     row_offsets: np.ndarray
     matrix: np.ndarray
-    #: (order, gap, stop) of each Prim pass that check_anti_ultrametric ran,
+    #: (order, gap, parent, stop) of each Prim pass that check_anti_ultrametric ran,
     #: by slack, so that a rejection's witness reads the pass that decided
     passes: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -153,7 +155,7 @@ def normalize_type1(instance: QuadraticInstance) -> NormalizedMatrix:
 def decompose(normalized: NormalizedMatrix) -> LaminarFamily:
     """Nested plateaus: the layout of a Prim pass with an infinite slack,
     so that no row stops it, O(n^2).  The root's value goes in gap[0]."""
-    order, gap, _ = _prim_pass(normalized, math.inf)
+    order, gap, _, _ = _prim_pass(normalized, math.inf)
     gap[0] = normalized.global_min
     return LaminarFamily(order, gap)
 
@@ -175,17 +177,21 @@ def reconstruct(family: LaminarFamily) -> np.ndarray:
     return out
 
 
-def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """One Prim pass over the reduced matrix: (order, gap, stop).
+def _prim_pass(
+    normalized: NormalizedMatrix, slack: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One Prim pass over the reduced matrix: (order, gap, parent, stop).
 
     Prim grows a maximum spanning tree from index 0 and lists every
     single-linkage cluster contiguously (Gower & Ross 1969), so the
     bottleneck between positions p < q of the visit order is
-    min(gap[p+1..q]); gap[k] is the weight at which order[k] joined.  Each
-    joining row is compared against those exact tree edges, never against
-    entries accepted only within the slack.  stop is the position of the
-    first row off by more than ``slack``, or n when every row held;
-    order[stop] is that row's index, and order and gap are unset after it.
+    min(gap[p+1..q]); gap[k] is the weight at which order[k] joined, under
+    its tree parent parent[order[k]], the first index in visit order with
+    an edge of that weight to it.  Each joining row is compared against
+    those exact tree edges, never against entries accepted only within the
+    slack.  stop is the position of the first row off by more than
+    ``slack``, or n when every row held; order[stop] is that row's index,
+    its gap and parent are set, and order and gap are unset after it.
     """
     matrix, off = normalized.matrix, normalized.row_offsets
     n = normalized.n
@@ -193,56 +199,46 @@ def _prim_pass(normalized: NormalizedMatrix, slack: float) -> tuple[np.ndarray, 
     gap = np.full(n, -math.inf)
     best = matrix[0] - off[0] - off  # heaviest edge from each index into the tree
     best[0] = -math.inf
+    parent = np.zeros(n, dtype=np.intp)  # the tree end of each index's best edge
     # bottleneck[i] = min(gap[i+1..k]) from the visit-order position i to
     # the newest tree index; entries not yet reached stay +inf
     bottleneck = np.full(n, math.inf)
     for k in range(1, n):
         v = order[k] = int(np.argmax(best))
-        row = matrix[v] - off[v] - off  # reduced[v] to the bit, never built whole
-        np.minimum(bottleneck[:k], best[v], out=bottleneck[:k])
-        if not approx_eq_array(row[order[:k]], bottleneck[:k], slack).all():
-            return order, gap, k
         gap[k] = best[v]
+        row = matrix[v] - off[v] - off  # reduced[v] to the bit, never built whole
+        np.minimum(bottleneck[:k], gap[k], out=bottleneck[:k])
+        if not approx_eq_array(row[order[:k]], bottleneck[:k], slack).all():
+            return order, gap, parent, k
         closer = row > best  # false at v itself, where the row holds NaN
         closer[order[:k]] = False
         best[closer] = row[closer]
+        parent[closer] = v
         best[v] = -math.inf
-    return order, gap, n
+    return order, gap, parent, n
 
 
-def _tree_column(normalized: NormalizedMatrix, tree: np.ndarray, v: int) -> np.ndarray:
-    """Reduced entries from each tree index to v, by the float expression
-    with which the Prim pass compared them, so argmax is v's parent."""
-    off = normalized.row_offsets
-    return normalized.matrix[tree, v] - off[tree] - off[v]
+def _type1_witness(normalized: NormalizedMatrix, slack: float) -> Witness:
+    """The witness of the Prim pass at ``slack``, which stopped at ``stop``.
 
-
-def _type1_witness(
-    normalized: NormalizedMatrix, order: np.ndarray, gap: np.ndarray, stop: int, slack: float
-) -> Witness:
-    """The witness of a Prim pass that stopped at position ``stop``.
-
-    Index v = order[stop] joined at weight w under its parent t, the first
-    tree index in visit order that attains w, and the first tree index u
-    whose reduced entry to v is off by more than the slack from the
-    bottleneck between them.  That bottleneck is the smallest edge of the
-    tree path from u to v and is at least R[u, v], so each edge of the
-    path exceeds R[u, v] by more than the slack.  Rule (i): the smallest l
-    for which (u, v, t, l) violates, one vector pass over l, gives a
-    quadruple.  Failing that, the path u, ..., t, v is the witness
-    (``BOTTLENECK_PATH``), found by walking parents up to the common
-    ancestor in O(n) per node.
+    Index v = order[stop] joined at weight gap[stop] under its parent t,
+    and u is the first tree index whose reduced entry to v is off by more
+    than the slack from the bottleneck between them.  That bottleneck is
+    the smallest edge of the tree path from u to v and is at least
+    R[u, v], so each edge of the path exceeds R[u, v] by more than the
+    slack.  Rule (i): the smallest l for which (u, v, t, l) violates, one
+    vector pass over l, gives a quadruple.  Failing that, the path
+    u, ..., t, v is the witness (``BOTTLENECK_PATH``), found by following
+    the pass's parent links from both ends up to the common ancestor, O(n).
     """
+    order, gap, parent, stop = normalized.passes[slack]
     a, off = normalized.matrix, normalized.row_offsets
     tree, v = order[:stop], int(order[stop])
-    column = _tree_column(normalized, tree, v)
-    parent = int(column.argmax())
     # the pass's bottleneck from every tree position to v, as a suffix minimum
-    joins = np.append(gap[1:stop], column[parent])
-    bottleneck = np.minimum.accumulate(joins[::-1])[::-1]
+    bottleneck = np.minimum.accumulate(gap[1:stop + 1][::-1])[::-1]
     row = a[v] - off[v] - off
     u = int(tree[(~approx_eq_array(row[tree], bottleneck, slack)).argmax()])
-    t = int(tree[parent])
+    t = int(parent[v])
     # the three pairing sums of (u, v, t, l); NaN where l is one of them
     s1, s2, s3 = a[u, v] + a[t], a[u, t] + a[v], a[u] + a[v, t]
     lo = np.minimum(np.minimum(s1, s2), s3)
@@ -252,14 +248,13 @@ def _type1_witness(
     if hit.any():
         quad = sorted(x + 1 for x in (u, v, t, int(hit.argmax())))
         return Witness(QUADRUPLE_VIOLATION, indices=tuple(quad))
-    # tree path: climb from the later of the two ends until they meet
+    # tree path: climb parent links from the later of the two ends until they meet
     where = np.empty(normalized.n, dtype=np.intp)
     where[order[:stop + 1]] = np.arange(stop + 1)
-    up_u, up_v = [u], [v, t]
+    up_u, up_v = [u], [v]
     while up_u[-1] != up_v[-1]:
         climb = up_u if where[up_u[-1]] > where[up_v[-1]] else up_v
-        earlier = order[:where[climb[-1]]]
-        climb.append(int(earlier[_tree_column(normalized, earlier, climb[-1]).argmax()]))
+        climb.append(int(parent[climb[-1]]))
     path = up_u + up_v[-2::-1]
     return Witness(BOTTLENECK_PATH, indices=tuple(x + 1 for x in path))
 
@@ -283,7 +278,7 @@ def check_anti_ultrametric(
     ``normalized`` by slack, for the witness of a rejection.
     """
     normalized.passes[slack] = found = _prim_pass(normalized, slack)
-    return found[2] == normalized.n
+    return found[3] == normalized.n
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +302,7 @@ def test_type1(instance: QuadraticInstance, eps: float = DEFAULT_EPSILON) -> Ver
     normalized, slack = normalize_type1(instance), instance.slack(eps)
     if check_anti_ultrametric(normalized, slack):
         return _typed_verdict(TYPE_I, eps, None)
-    witness = _type1_witness(normalized, *normalized.passes[slack], slack)
-    return _typed_verdict(TYPE_I, eps, witness)
+    return _typed_verdict(TYPE_I, eps, _type1_witness(normalized, slack))
 
 
 def _cross_verdict(
@@ -431,7 +425,6 @@ def test_mconvexity(
     brute_force_budget: int = DEFAULT_BRUTE_FORCE_BUDGET,
     eps: float = DEFAULT_EPSILON,
     explain: bool = False,
-    oracle_max_checks: int = oracle.DEFAULT_MAX_CHECKS,
 ) -> Verdict:
     """Decide M-convexity.
 
@@ -448,6 +441,7 @@ def test_mconvexity(
     Its witness is a violating quadruple when rule (i) finds one, else a
     bottleneck path, which certifies that contract and nothing more.
     """
+    check_epsilon(eps)
     n, r = instance.n, instance.r
     if r == 1 or r == n - 1:
         return _slice_linear_verdict(instance, eps)
@@ -462,8 +456,7 @@ def test_mconvexity(
             )
         if math.comb(n, r) <= brute_force_budget:
             return oracle.exchange_axiom_holds(
-                instance, eps=eps, max_candidates=brute_force_budget + 1,
-                max_checks=oracle_max_checks,
+                instance, eps=eps, max_candidates=brute_force_budget
             )
         return Verdict(UNDECIDED, method="budget-exceeded", epsilon=eps)
     type_label = structure.classify(decomposition, r)

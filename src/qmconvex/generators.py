@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import INF, BudgetExceededError, InstanceFormatError, QuadraticInstance
+from .core import INF, InstanceFormatError, QuadraticInstance
+from .oracle import DEFAULT_MAX_CANDIDATES, enumerate_domain
 from .structure import InfinityGraph, check_condition_b, decompose_components
 
 
@@ -245,30 +245,17 @@ def pad_graph(graph: SimpleGraph, m: int) -> SimpleGraph:
     return SimpleGraph.from_edges(graph.n + m, new_edges)
 
 
-def _stable_sets(graph: SimpleGraph, r: int, max_candidates: int):
-    if math.comb(graph.n, r) > max_candidates:
-        raise BudgetExceededError(
-            f"C({graph.n},{r}) exceeds the candidate budget {max_candidates}"
-        )
-    adj = graph.adjacency()
-    for combo in combinations(range(1, graph.n + 1), r):
-        if all(v not in adj[u] for u, v in combinations(combo, 2)):
-            yield combo
-
-
 def solve_problem_p(
-    graph: SimpleGraph, r: int, max_candidates: int = 2_000_000
+    graph: SimpleGraph, r: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> bool:
     """Is every connected component of the subgraph induced by the union
-    of all size-r stable sets a clique?  Decided by enumeration."""
-    touched: set[int] = set()
-    for combo in _stable_sets(graph, r, max_candidates):
-        touched.update(combo)
-    mask = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)  # 1-based
-    u, v = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
-    mask[u, v] = mask[v, u] = True
-    order = sorted(touched)
-    induced = InfinityGraph(len(order), mask[np.ix_(order, order)])
+    of all size-r stable sets a clique?  Decided by enumeration of the
+    reduction's domain, so the graph and r must make a valid instance:
+    n >= 2 and 1 <= r <= n-1, else InstanceFormatError."""
+    instance = build_f_graph(graph, r)
+    domain = enumerate_domain(instance, max_candidates)
+    order = np.array(sorted(set().union(*domain.supports)), dtype=np.intp) - 1
+    induced = InfinityGraph(order.size, np.isinf(instance.quad)[np.ix_(order, order)])
     return check_condition_b(induced, decompose_components(induced))[0]
 
 

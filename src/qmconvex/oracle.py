@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     Witness,
     approx_eq,
     approx_le,
+    check_epsilon,
 )
 
 #: Cap on the number of r-subsets scanned while enumerating a domain.
@@ -47,7 +48,8 @@ DEFAULT_MAX_CANDIDATES = 2_000_000
 DEFAULT_MAX_CHECKS = 100_000_000
 
 #: Cells of (x, y, i, j) that one chunk of the exchange check holds at most,
-#: unless one support x alone has more: 128 KB per float array.
+#: unless one support x alone has more: 128 KB per float array.  Also the
+#: number of r-subsets in one chunk of the domain enumeration.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -89,25 +91,29 @@ def evaluate(instance: QuadraticInstance, support: Iterable[int]) -> float:
 def enumerate_domain(
     instance: QuadraticInstance, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> DomainSet:
-    """All r-subsets avoiding infinite pairs, in lexicographic order."""
+    """All r-subsets avoiding infinite pairs, in lexicographic order.
+
+    The r-subsets come from ``combinations`` in chunks of ``_CHUNK_CELLS``
+    rows, one column per position; one gather of the +inf mask per pair of
+    positions drops the rows that hold a forbidden pair.
+    """
     n, r = instance.n, instance.r
-    if math.comb(n, r) > max_candidates:
+    total = math.comb(n, r)
+    if total > max_candidates:
         raise BudgetExceededError(
-            f"C({n},{r}) = {math.comb(n, r)} exceeds the candidate budget {max_candidates}"
+            f"C({n},{r}) = {total} exceeds the candidate budget {max_candidates}"
         )
-    forbid = np.isinf(instance.quad)
+    allowed = ~np.isinf(instance.quad)
+    combos = combinations(range(n), r)
     supports = []
-    for combo in combinations(range(n), r):
-        ok = True
-        for a in range(r):
-            for b in range(a + 1, r):
-                if forbid[combo[a], combo[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            supports.append(tuple(i + 1 for i in combo))
+    for lo in range(0, total, _CHUNK_CELLS):
+        rows = min(_CHUNK_CELLS, total - lo)
+        flat = chain.from_iterable(islice(combos, rows))
+        chunk = np.fromiter(flat, np.intp, count=rows * r).reshape(rows, r)
+        keep = np.ones(len(chunk), dtype=bool)
+        for a, b in combinations(range(r), 2):
+            keep &= allowed[chunk[:, a], chunk[:, b]]
+        supports += map(tuple, (chunk[keep] + 1).tolist())
     return DomainSet(n, r, tuple(supports))
 
 
@@ -186,6 +192,7 @@ def exchange_axiom_holds(
     is more), so a chunk's arrays stay small and an early failure costs
     one small chunk.  The first failing chunk holds the witness.
     """
+    check_epsilon(eps)
     domain = enumerate_domain(instance, max_candidates)
     if not domain.supports:
         return Verdict(INVALID_INSTANCE, method="oracle-exchange", epsilon=eps)
@@ -255,6 +262,7 @@ def local_exchange_holds(
 
     Independent code path from exchange_axiom_holds; the two must agree.
     """
+    check_epsilon(eps)
     domain = enumerate_domain(instance, max_candidates)
     if not domain.supports:
         return Verdict(INVALID_INSTANCE, method="oracle-local", epsilon=eps)
@@ -313,11 +321,8 @@ def linear_fit(
         raise ValueError("domain is empty, nothing to fit")
     rows = len(domain.supports)
     design = np.zeros((rows, instance.n))
-    target = np.zeros(rows)
-    for row, support in enumerate(domain.supports):
-        for i in support:
-            design[row, i - 1] = 1.0
-        target[row] = evaluate(instance, support)
+    design[np.arange(rows)[:, None], np.array(domain.supports) - 1] = 1.0
+    target = np.array([evaluate(instance, support) for support in domain.supports])
     # Pin the last coordinate to zero and fit [alpha, p_1 .. p_{n-1}].
     mat = np.hstack([np.ones((rows, 1)), design[:, :-1]])
     coef, *_ = np.linalg.lstsq(mat, target, rcond=None)
@@ -358,7 +363,9 @@ def verify_witness(
     instance: QuadraticInstance, witness: Witness, eps: float = DEFAULT_EPSILON
 ) -> bool:
     """Re-check a witness against the instance by direct evaluation.  A
-    witness that names an index outside 1..n, or one index twice, fails.
+    witness of the wrong shape (a triple or quadruple with another count
+    of indices, no supports), or one that names an index outside 1..n or
+    one index twice, fails.
 
     A bottleneck path u = t0, ..., tL = v holds when L >= 2 and each of
     its edges' reduced coefficients exceeds that of {u, v} by more than
@@ -368,24 +375,28 @@ def verify_witness(
     the reduced matrix is more than slack/2 from every reversed
     ultrametric, at the row-minimum normalization.
     """
+    check_epsilon(eps)
     for named in filter(None, (witness.indices, witness.x, witness.y)):
         if len(set(named)) < len(named) or not all(1 <= v <= instance.n for v in named):
             return False
+    indices = witness.indices or ()
     if witness.kind == DOMAIN_VIOLATION:
-        i, j, k = witness.indices
+        if len(indices) != 3:
+            return False
+        i, j, k = indices
         return (
             math.isinf(instance.pair(i, j))
             and math.isinf(instance.pair(j, k))
             and math.isfinite(instance.pair(i, k))
         )
     if witness.kind == QUADRUPLE_VIOLATION:
-        return quadruple_violated(instance, *witness.indices, eps=eps)
+        return len(indices) == 4 and quadruple_violated(instance, *indices, eps=eps)
     if witness.kind == BOTTLENECK_PATH:
         # reduced coefficients less twice the global minimum, which cancels
         # from every difference: only the L+1 named rows are read, O(n L)
-        if len(witness.indices) < 3:
+        if len(indices) < 3:
             return False
-        idx = np.asarray(witness.indices, dtype=np.intp) - 1
+        idx = np.asarray(indices, dtype=np.intp) - 1
         low = np.nanmin(instance.quad[idx], axis=1)  # the NaN diagonal drops out
         if not np.isfinite(low).all():
             return False
@@ -394,6 +405,8 @@ def verify_witness(
         return math.isfinite(ends) and bool((edges - ends > instance.slack(eps)).all())
     if witness.kind == EXCHANGE_VIOLATION:
         x, y, i = witness.x, witness.y, witness.i
+        if x is None or y is None:
+            return False
         sx, sy = frozenset(x), frozenset(y)
         fx, fy = evaluate(instance, x), evaluate(instance, y)
         if math.isinf(fx) or math.isinf(fy) or i not in sx - sy:

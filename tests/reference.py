@@ -13,9 +13,11 @@ did before it became the layout of the Prim pass.  The exchange-axiom loop
 evaluates every swapped pair of points by dictionary lookup, as
 ``qmconvex.oracle.exchange_axiom_holds`` did before it checked the axiom
 in delta form on arrays; it is that code unchanged, so it takes its slack
-from the instance.  The document parser and serializer at the end are the
-entry-by-entry versions that the array passes in ``qmconvex.core``
-replaced.
+from the instance.  The domain loop tests every pair of every r-subset
+one at a time, as ``qmconvex.oracle.enumerate_domain`` did before it
+took the subsets in chunks of index arrays.  The document parser and
+serializer at the end are the entry-by-entry versions that the array
+passes in ``qmconvex.core`` replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from qmconvex import (
     M_CONVEX,
     NOT_M_CONVEX,
     BudgetExceededError,
+    DomainSet,
     InstanceFormatError,
     NormalizedMatrix,
     QuadraticInstance,
@@ -242,6 +245,31 @@ def pivot_decompose(
         stack.append((complement, value))
         stack.append((argmin, value))
     return plateaus
+
+
+def enumerate_domain_by_loop(
+    instance: QuadraticInstance, max_candidates: int = DEFAULT_MAX_CANDIDATES
+) -> DomainSet:
+    """All r-subsets avoiding infinite pairs, in lexicographic order."""
+    n, r = instance.n, instance.r
+    if math.comb(n, r) > max_candidates:
+        raise BudgetExceededError(
+            f"C({n},{r}) = {math.comb(n, r)} exceeds the candidate budget {max_candidates}"
+        )
+    forbid = np.isinf(instance.quad)
+    supports = []
+    for combo in itertools.combinations(range(n), r):
+        ok = True
+        for a in range(r):
+            for b in range(a + 1, r):
+                if forbid[combo[a], combo[b]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            supports.append(tuple(i + 1 for i in combo))
+    return DomainSet(n, r, tuple(supports))
 
 
 def exchange_axiom_by_loop(

@@ -709,6 +709,25 @@ def test_type1_witness_matches_quadruple_scan():
     assert 300 < rejected < 600
 
 
+def test_prim_parent_is_the_first_tree_index_at_the_join_weight():
+    # integer tree metrics tie often; the witness reads t = parent[v], which
+    # must be the first index in visit order whose reduced entry to v is
+    # the join weight, up to and including a stopped pass's failing row
+    rng = np.random.default_rng(73)
+    ties = 0
+    for _ in range(300):
+        inst = _type1_case(rng)
+        nm = q.normalize_type1(inst)
+        order, gap, parent, stop = q.fast_tester._prim_pass(nm, inst.slack(1e-9))
+        red = reduced(nm)
+        for k in range(1, min(stop + 1, inst.n)):
+            column = red[order[:k], order[k]]
+            assert gap[k] == column.max()
+            assert parent[order[k]] == order[:k][column.argmax()]
+            ties += int(np.count_nonzero(column == gap[k]) > 1)
+    assert ties > 100, ties
+
+
 def test_type1_witness_skips_all_infinite_quadruples():
     # {1, 2, 3, 4} is an infinite clique, so most quadruples through the
     # failing cell have three +inf pairing sums; (1, 2, 5, 6) has 0, 1 and
@@ -745,7 +764,7 @@ def test_type1_witness_deep_in_the_scan():
 def _bottleneck_matrix(nm: q.NormalizedMatrix) -> np.ndarray:
     """B[p, q] = the smallest gap between the visit positions of p and q,
     from the running minima of a Prim pass with an infinite slack."""
-    order, gap, _ = q.fast_tester._prim_pass(nm, q.INF)
+    order, gap, _, _ = q.fast_tester._prim_pass(nm, q.INF)
     out = np.full((nm.n, nm.n), np.nan)
     run = np.full(nm.n, q.INF)
     for k in range(1, nm.n):

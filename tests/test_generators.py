@@ -7,7 +7,7 @@ import pytest
 
 import qmconvex as q
 from helpers import golden_yes, random_simple_graph
-from reference import scan_anti_tree_metric, scan_type2_equalities
+from reference import enumerate_domain_by_loop, scan_anti_tree_metric, scan_type2_equalities
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,16 @@ def test_solve_problem_p_goldens():
     assert not q.solve_problem_p(five_cycle(), 2)
 
 
+def test_solve_problem_p_refuses_sizes_outside_the_slice():
+    # the answer comes from the reduction's domain, an instance that needs
+    # n >= 2 and 1 <= r <= n-1; it also keeps the enumeration budget
+    for graph, r in ((q.SimpleGraph(1, ()), 1), (q.SimpleGraph(3, ()), 3), (five_cycle(), 0)):
+        with pytest.raises(q.InstanceFormatError):
+            q.solve_problem_p(graph, r)
+    with pytest.raises(q.BudgetExceededError):
+        q.solve_problem_p(q.SimpleGraph(20, ()), 10, max_candidates=1000)
+
+
 def test_problem_p_matches_domain_exchangeability():
     rng = np.random.default_rng(43)
     compared = 0
@@ -207,10 +217,11 @@ def test_problem_p_matches_domain_exchangeability():
         n = int(rng.integers(3, 8))
         graph = random_simple_graph(n, 0.4, rng)
         for r in range(2, min(4, n - 1) + 1):
-            if not any(True for _ in q.generators._stable_sets(graph, r, 10**6)):
+            # the right-hand side's domain shares no code with solve_problem_p
+            domain = enumerate_domain_by_loop(q.build_f_graph(graph, r))
+            if not domain.supports:
                 continue
             lhs = q.solve_problem_p(graph, r)
-            domain = q.enumerate_domain(q.build_f_graph(graph, r))
             rhs, _ = q.is_mconvex_set(domain)
             assert lhs == rhs, (graph, r)
             compared += 1

@@ -7,7 +7,7 @@ import pytest
 
 import qmconvex as q
 from helpers import all_zero, golden_no, golden_yes, traced_peak
-from reference import exchange_axiom_by_loop
+from reference import enumerate_domain_by_loop, exchange_axiom_by_loop
 
 
 def test_evaluate_golden_yes():
@@ -43,6 +43,42 @@ def test_enumerate_domain_budget():
     inst = all_zero(40, 20)
     with pytest.raises(q.BudgetExceededError):
         q.enumerate_domain(inst, max_candidates=1000)
+
+
+def _inf_pattern(n: int, r: int, p_inf: float, rng: np.random.Generator) -> q.QuadraticInstance:
+    upper = np.triu(rng.random((n, n)) < p_inf, 1)
+    quad = np.where(upper | upper.T, q.INF, 0.0)
+    np.fill_diagonal(quad, np.nan)
+    return q.QuadraticInstance(n, r, np.zeros(n), quad)
+
+
+def test_enumerate_domain_matches_the_loop():
+    # the chunked gathers keep the loop's supports, their order and their
+    # Python int entries, at every r of n 2-14, on an empty domain and on
+    # n = 256, r = 2, whose 32,640 subsets take two chunks
+    rng = np.random.default_rng(27)
+    cases = [
+        _inf_pattern(n, r, rng.uniform(0.0, 0.6), rng)
+        for n in range(2, 15)
+        for r in range(1, n)
+        for _ in range(22)
+    ]
+    cases += [_inf_pattern(6, 3, 1.0, rng), _inf_pattern(256, 2, 0.5, rng)]
+    assert len(cases) >= 2000
+    for inst in cases:
+        domain = q.enumerate_domain(inst)
+        assert domain == enumerate_domain_by_loop(inst), (inst.n, inst.r)
+        assert all(type(i) is int for support in domain.supports for i in support)
+    assert cases[-2].n == 6 and q.enumerate_domain(cases[-2]).supports == ()
+
+
+def test_enumerate_domain_memory_is_chunked():
+    # C(22, 11) = 705,432 subsets, 2,048 of them feasible: unchunked, the
+    # index array alone would take 62 MB; chunks of 2^14 subsets peak near 3 MB
+    inst = q.gen_linear_typed([2] * 11, 11, 1)
+    domain, peak = traced_peak(lambda: q.enumerate_domain(inst))
+    assert len(domain.supports) == 2048
+    assert peak < 4_000_000, peak
 
 
 def test_evaluate_infinite_iff_not_in_domain():
@@ -332,6 +368,42 @@ def test_verify_bottleneck_path():
     shifted = q.apply_potential(inst, [1.5] * 5)
     assert q.verify_witness(shifted, q.Witness(q.BOTTLENECK_PATH, indices=(5, 1, 2)))
     assert not q.verify_witness(shifted, q.Witness(q.BOTTLENECK_PATH, indices=(1, 2, 3)))
+
+
+def path_instance():
+    # the n=5 path: +inf on {1,2} and {2,3}
+    return q.QuadraticInstance.from_entries(5, 2, {(1, 2): q.INF, (2, 3): q.INF})
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        q.Witness(q.DOMAIN_VIOLATION, indices=(1, 2, 3, 4)),
+        q.Witness(q.DOMAIN_VIOLATION, indices=(1, 2)),
+        q.Witness(q.DOMAIN_VIOLATION),
+        q.Witness(q.QUADRUPLE_VIOLATION, indices=(1, 2, 3)),
+        q.Witness(q.QUADRUPLE_VIOLATION, indices=(1, 2, 3, 4, 5)),
+        q.Witness(q.QUADRUPLE_VIOLATION),
+        q.Witness(q.BOTTLENECK_PATH),
+        q.Witness(q.EXCHANGE_VIOLATION, y=(2, 4), i=1),
+        q.Witness(q.EXCHANGE_VIOLATION, x=(1, 3), i=1),
+        q.Witness(q.EXCHANGE_VIOLATION, x=(1, 3), y=(2, 4)),
+    ],
+    ids=lambda w: f"{w.kind}-{len(w.indices) if w.indices else None}-{w.x}-{w.y}-{w.i}",
+)
+def test_verify_witness_refuses_wrong_shapes(witness):
+    # witnesses can come from JSON: a wrong shape fails to verify, not raises.
+    # Each kind is checked on an instance where its right shape verifies
+    inst = golden_no() if witness.kind == q.QUADRUPLE_VIOLATION else path_instance()
+    assert q.verify_witness(inst, witness) is False
+
+
+def test_verify_witness_accepts_the_right_shapes():
+    # the positive controls of the wrong-shape cases above
+    path = path_instance()
+    assert q.verify_witness(path, q.Witness(q.DOMAIN_VIOLATION, indices=(1, 2, 3)))
+    assert q.verify_witness(path, q.Witness(q.EXCHANGE_VIOLATION, x=(1, 3), y=(2, 4), i=1))
+    assert q.verify_witness(golden_no(), q.Witness(q.QUADRUPLE_VIOLATION, indices=(1, 2, 3, 4)))
 
 
 def test_quadruple_violated_uses_min_multiplicity():

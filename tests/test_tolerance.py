@@ -164,3 +164,43 @@ def test_epsilon_floor(tmp_path, capsys, monkeypatch):
     assert main(["test", "--input", str(path)]) == 3
     assert capsys.readouterr().err == "error: MCONVEX_EPSILON must be at least 1e-15, got '1e-16'\n"
     assert main(["test", "--input", str(path), "--epsilon", "1e-15"]) == 0
+
+
+def test_epsilon_floor_on_every_early_return():
+    # each call below returns before it computes a slack, yet refuses an
+    # eps below the floor as the slack itself does
+    tree = q.gen_tree_metric_type1(6, 2, 1)
+    path = q.QuadraticInstance.from_entries(5, 2, {(1, 2): q.INF, (2, 3): q.INF})
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    single = q.QuadraticInstance.from_entries(4, 2, {p: q.INF for p in pairs[1:]})
+    empty = q.QuadraticInstance.from_entries(4, 2, {p: q.INF for p in pairs})
+    r1, r5 = (q.QuadraticInstance(6, r, tree.linear, tree.quad) for r in (1, 5))
+    domain_witness = q.Witness(q.DOMAIN_VIOLATION, indices=(1, 2, 3))
+    calls = {
+        "slice-linear r=1": (lambda eps: q.test_mconvexity(r1, eps=eps).status, q.M_CONVEX),
+        "slice-linear r=n-1": (lambda eps: q.test_mconvexity(r5, eps=eps).status, q.M_CONVEX),
+        "condition B": (
+            lambda eps: q.test_mconvexity(path, eps=eps, assume_condition_a=True).status,
+            q.NOT_M_CONVEX,
+        ),
+        "exchange, one support": (
+            lambda eps: q.exchange_axiom_holds(single, eps=eps).status, q.M_CONVEX
+        ),
+        "exchange, empty": (
+            lambda eps: q.exchange_axiom_holds(empty, eps=eps).status, q.INVALID_INSTANCE
+        ),
+        "local, empty": (
+            lambda eps: q.local_exchange_holds(empty, eps=eps).status, q.INVALID_INSTANCE
+        ),
+        "local, set violation": (
+            lambda eps: q.local_exchange_holds(path, eps=eps).status, q.NOT_M_CONVEX
+        ),
+        "verify, domain violation": (
+            lambda eps: q.verify_witness(path, domain_witness, eps), True
+        ),
+    }
+    for name, (call, expected) in calls.items():
+        assert call(q.MIN_EPSILON) == expected, name
+        for eps in (1e-16, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="MIN_EPSILON"):
+                call(eps)
